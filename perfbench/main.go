@@ -6,10 +6,10 @@
 //	bash perfbench/run.sh --workload sweep-cold --seed 1 --seconds 10 --trace 0
 //
 // --trace 0 measures the end-to-end metrics. --trace 1 is the separate
-// traced run: it measures the load once untraced and once with spans
-// recorded around every call the benchmark makes into a layer, derives the
-// per-layer metrics from those spans, and reports the slowdown between the
-// two halves as bench.trace_overhead. README.md maps each per-layer metric
+// traced run: it measures the load in untraced and traced quarters, with
+// spans recorded around every call the benchmark makes into a layer,
+// derives the per-layer metrics from those spans, and reports the slowdown
+// of the traced quarters as bench.trace_overhead. README.md maps each per-layer metric
 // to the end-to-end metric and workload it should move.
 package main
 
