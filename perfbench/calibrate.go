@@ -26,6 +26,7 @@ func scaled(d time.Duration, speed float64) time.Duration {
 // operations per second. It touches no repository code, so a change to the
 // program cannot move it; only the machine can.
 func calibrate() float64 {
+	// The P-256 field prime; a constant literal always parses.
 	mod, _ := new(big.Int).SetString("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff", 16)
 	var ops atomic.Int64
 	var wg sync.WaitGroup
