@@ -27,7 +27,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 )
 
@@ -36,14 +35,14 @@ import (
 // comparable across hosts with more cores.
 const nproc = 2
 
-// A run builds its set-up at least minSetups times, and keeps repeating a
-// cheap one until setupBudget is spent or maxSetups are done; setup_s is
-// the median, and only the last set-up carries the timed load. A set-up of
-// a tenth of a millisecond needs the extra repeats for a median that
-// repeats from run to run.
+// A run builds its set-up at least minSetups times, and keeps repeating it
+// until the set-ups together have taken setupBudget; setup_s is the median,
+// and only the last set-up carries the timed load. A sweep's set-up is an
+// expansion of 15–35 µs, so it is repeated tens of thousands of times:
+// 25 samples of so short a span left a median that moved by more than half
+// from run to run. Set-ups of a second or more stop at minSetups.
 const (
-	minSetups   = 3
-	maxSetups   = 25
+	minSetups   = 9
 	setupBudget = time.Second
 )
 
@@ -93,10 +92,10 @@ type jobSample struct {
 	first, last time.Duration // first and last result byte
 }
 
-// slice is one stretch of load between two host-speed calibrations.
+// slice is one stretch of load under one host-speed figure.
 type slice struct {
 	wall  time.Duration
-	speed float64 // mean of the calibrations around the slice
+	speed float64 // the meter's speed over the slice
 }
 
 // refWall is the load's measured time on the reference host's clock. Rates
@@ -144,7 +143,12 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "workload seed; every input derives from it")
 	flag.Float64Var(&o.seconds, "seconds", 10, "measured seconds per run")
 	flag.IntVar(&trace, "trace", 0, "0: end-to-end metrics; 1: traced run with per-layer metrics")
+	meter := flag.Bool("meter", false, "run as the benchmark's host-speed meter (started by the benchmark itself)")
 	flag.Parse()
+	if *meter {
+		runMeter()
+		return
+	}
 	o.trace = trace == 1
 	if _, ok := workloads[o.workload]; !ok || (trace != 0 && trace != 1) || o.seconds <= 0 {
 		fmt.Fprintf(os.Stderr, "perfbench: want --workload {%s} --seed N --seconds S --trace {0,1}\n",
@@ -185,7 +189,12 @@ func run(o options) (result, error) {
 	var setups []float64
 	var e env
 	var spent time.Duration
-	speed := calibrate()
+	meter, err := startMeter()
+	if err != nil {
+		return result{}, err
+	}
+	defer meter.close()
+	setupStart := time.Now()
 	for i := 0; ; i++ {
 		dir := filepath.Join(work, fmt.Sprintf("setup%d", i))
 		t0 := time.Now()
@@ -196,15 +205,18 @@ func run(o options) (result, error) {
 		took := time.Since(t0)
 		spent += took
 		setups = append(setups, took.Seconds())
-		if i+1 >= maxSetups || (i+1 >= minSetups && spent >= setupBudget) {
+		if i+1 >= minSetups && spent >= setupBudget {
 			e = cur
 			break
 		}
 		cur.close()
 		os.RemoveAll(dir)
 	}
-	setupSpeed := (speed + calibrate()) / 2
 	defer e.close()
+	setupSpeed, err := meter.speed(setupStart, time.Now())
+	if err != nil {
+		return result{}, err
+	}
 
 	res := result{Metrics: map[string]metricValue{}}
 	if !o.trace {
@@ -214,7 +226,7 @@ func run(o options) (result, error) {
 		debug.FreeOSMemory()
 		rss := startRSS()
 		host0 := readHost()
-		st, err := measure(e, o.seconds, nil)
+		st, err := measure(e, meter, o.seconds, nil)
 		host := readHost().since(host0)
 		peakRSS := rss.finish()
 		if err != nil {
@@ -244,10 +256,12 @@ func run(o options) (result, error) {
 		for _, sl := range st.slices {
 			speeds = append(speeds, sl.speed)
 		}
-		fmt.Printf("  host: %.2f s process CPU and %.2f s stolen during the load; speed %.0f ops/s "+
+		fmt.Printf("  host: %.2f s process CPU and %.2f s stolen during the load; meter %.0f ops/CPU-s "+
 			"(set-up %.0f, slices %.0f..%.0f) against the reference %d\n",
 			host.cpu.Seconds(), host.steal.Seconds(), median(speeds), setupSpeed,
 			quantile(speeds, 0), quantile(speeds, 1), refSpeed)
+		fmt.Printf("  set-up: %d built, unscaled quartiles %.4g, %.4g, %.4g s\n", len(setups),
+			quantile(setups, 0.25), quantile(setups, 0.5), quantile(setups, 0.75))
 	} else {
 		// Untraced and traced segments alternate U T T U, so drift over the
 		// run (a growing store, a warming cache) cancels out of the
@@ -259,7 +273,7 @@ func run(o options) (result, error) {
 			if on {
 				r, sum = rec, &traced
 			}
-			st, err := measure(e, o.seconds/4, r)
+			st, err := measure(e, meter, o.seconds/4, r)
 			if err != nil {
 				return result{}, err
 			}
@@ -346,25 +360,26 @@ func printHuman(o options, res result, jobs, tailP int) {
 	}
 }
 
-// sliceSeconds is how much load runs between two host-speed calibrations.
-// The host this benchmark was defined on changes speed by up to 2x within
-// seconds as neighbours come and go, so each slice is scaled by the
-// calibrations taken right around it.
-const sliceSeconds = 2.5
+// sliceSeconds is how much load runs under one host-speed figure: every
+// job of a slice is scaled by the meter's speed over that slice (see
+// hostMeter). A sweep job runs whole, so its slice is at least one sweep.
+const sliceSeconds = 1.0
 
-// measure runs about seconds of load in slices with a calibration between
-// them, and reports every job time on the reference host's clock: a time
-// measured while the host ran at speed s is scaled by s / refSpeed.
-func measure(e env, seconds float64, rec *recorder) (*loadStats, error) {
+// measure runs about seconds of load in slices and reports every job time
+// on the reference host's clock: a time measured while the host ran at
+// speed s is scaled by s / refSpeed.
+func measure(e env, meter *hostMeter, seconds float64, rec *recorder) (*loadStats, error) {
 	out := &loadStats{}
-	before := calibrate()
 	for out.wall.Seconds() < seconds {
+		t0 := time.Now()
 		st, err := e.load(min(sliceSeconds, seconds-out.wall.Seconds()), rec)
 		if err != nil {
 			return nil, err
 		}
-		after := calibrate()
-		speed := (before + after) / 2
+		speed, err := meter.speed(t0, time.Now())
+		if err != nil {
+			return nil, err
+		}
 		for _, j := range st.jobs {
 			out.jobs = append(out.jobs, jobSample{first: scaled(j.first, speed), last: scaled(j.last, speed)})
 		}
@@ -373,7 +388,6 @@ func measure(e env, seconds float64, rec *recorder) (*loadStats, error) {
 		out.trials += st.trials
 		out.attempted += st.attempted
 		out.failed += st.failed
-		before = after
 	}
 	return out, nil
 }
@@ -427,11 +441,7 @@ func (s *rssSampler) finish() float64 {
 type hostTimes struct{ cpu, steal time.Duration }
 
 func readHost() hostTimes {
-	var h hostTimes
-	var ru syscall.Rusage
-	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) == nil {
-		h.cpu = time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-	}
+	h := hostTimes{cpu: processCPU()}
 	if raw, err := os.ReadFile("/proc/stat"); err == nil {
 		// cpu user nice system idle iowait irq softirq steal ...
 		if f := strings.Fields(strings.SplitN(string(raw), "\n", 2)[0]); len(f) > 8 && f[0] == "cpu" {

@@ -126,6 +126,9 @@ type serviceEnv struct {
 	outcomes []jobOutcome
 	traced   []jobOutcome // outcomes of the traced load
 	refs     map[string][]byte
+
+	grantMu sync.Mutex
+	granted map[string]time.Time // fleet: when each job's first shard grant left
 }
 
 // newServiceChurn's set-up computes the pre-filled matrices and then fills
@@ -215,12 +218,17 @@ func startService(seed int64, dir string, fleet bool) (*serviceEnv, error) {
 	srv.Start()
 	e := &serviceEnv{
 		seed: seed, dir: dir, fleet: fleet, st: st, srv: srv,
-		ts: httptest.NewServer(srv.Handler()),
 		client: &http.Client{Transport: &http.Transport{
 			MaxConnsPerHost: nproc, MaxIdleConnsPerHost: nproc,
 		}},
-		refs: map[string][]byte{},
+		refs:    map[string][]byte{},
+		granted: map[string]time.Time{},
 	}
+	handler := srv.Handler()
+	if fleet {
+		handler = e.watchGrants(handler)
+	}
+	e.ts = httptest.NewServer(handler)
 	e.nextSeed.Store(seed * 1_000_003)
 	if fleet {
 		if err := e.startWorkers(); err != nil {
@@ -231,12 +239,10 @@ func startService(seed int64, dir string, fleet bool) (*serviceEnv, error) {
 	return e, nil
 }
 
-// fleetHealth is the part of /v1/healthz a fleet client reads: the live
-// workers and the shards each one holds.
+// fleetHealth is the part of /v1/healthz the fleet set-up reads: the live
+// workers.
 type fleetHealth struct {
-	Workers []struct {
-		Shards []string `json:"shards"`
-	} `json:"workers"`
+	Workers []struct{} `json:"workers"`
 }
 
 func (e *serviceEnv) startWorkers() error {
@@ -404,10 +410,12 @@ func (e *serviceEnv) runJob(m experiment.Matrix, rec *recorder, key string, prog
 		out.err = fmt.Errorf("submit: %w", err)
 		return out
 	}
-	if e.fleet && rec != nil {
-		if out.err = e.awaitGrant(created.ID, rec, key, job.id()); out.err != nil {
-			return out
-		}
+	if e.fleet {
+		defer func() {
+			if at, ok := e.grantedAt(created.ID); ok {
+				rec.add("dispatch.grant_wait", key, job.id(), t0, at)
+			}
+		}()
 	}
 
 	var firstAt time.Time
@@ -538,31 +546,55 @@ func (e *serviceEnv) firstByte(id string) (time.Time, bool) {
 	return at, true
 }
 
-// awaitGrant polls /v1/healthz until a worker holds a shard of the job: the
-// dispatch.grant_wait span. Traced runs only, so it never slows the
-// measured load.
-func (e *serviceEnv) awaitGrant(id string, rec *recorder, key string, parent int64) error {
-	sp := rec.start("dispatch.grant_wait", key, parent)
-	defer sp.end()
-	deadline := time.Now().Add(serviceSettleTO)
-	for time.Now().Before(deadline) {
-		var h fleetHealth
-		if err := e.getJSON("/v1/healthz", &h); err != nil {
-			return err
+// watchGrants wraps the coordinator's handler and notes when each job's
+// first shard grant leaves in a heartbeat answer: the end of the job's
+// dispatch.grant_wait span. It reads answers the workers receive anyway, so
+// it adds no request, and every fleet job, traced or not, passes through it.
+func (e *serviceEnv) watchGrants(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/heartbeat") {
+			h.ServeHTTP(w, r)
+			return
 		}
-		for _, w := range h.Workers {
-			for _, s := range w.Shards {
-				if strings.HasPrefix(s, id+"/") {
-					return nil
-				}
+		tee := &teeWriter{ResponseWriter: w}
+		h.ServeHTTP(tee, r)
+		now := time.Now()
+		var hb struct {
+			Grants []struct {
+				Job string `json:"job"`
+			} `json:"grants"`
+		}
+		if json.Unmarshal(tee.buf.Bytes(), &hb) != nil {
+			return
+		}
+		e.grantMu.Lock()
+		defer e.grantMu.Unlock()
+		for _, g := range hb.Grants {
+			if _, ok := e.granted[g.Job]; !ok {
+				e.granted[g.Job] = now
 			}
 		}
-		if j, ok := e.st.Job(id); ok && j.State.Terminal() {
-			return nil // finished between two polls
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return fmt.Errorf("job %s: no shard granted within %v", id, serviceSettleTO)
+	})
+}
+
+// grantedAt reports, once, when the job's first shard was granted.
+func (e *serviceEnv) grantedAt(id string) (time.Time, bool) {
+	e.grantMu.Lock()
+	defer e.grantMu.Unlock()
+	at, ok := e.granted[id]
+	delete(e.granted, id)
+	return at, ok
+}
+
+// teeWriter keeps a copy of the answer it passes on.
+type teeWriter struct {
+	http.ResponseWriter
+	buf bytes.Buffer
+}
+
+func (t *teeWriter) Write(p []byte) (int, error) {
+	t.buf.Write(p)
+	return t.ResponseWriter.Write(p)
 }
 
 func (e *serviceEnv) getJSON(path string, v any) error {
@@ -593,8 +625,8 @@ func (e *serviceEnv) doJSON(method, path string, body io.Reader, want int, v any
 }
 
 // reference is the JSONL an in-process Runner prints for m, computed once
-// per distinct matrix without any cache.
-func (e *serviceEnv) reference(m experiment.Matrix, rec *recorder) ([]byte, error) {
+// per distinct matrix without any cache, and untimed.
+func (e *serviceEnv) reference(m experiment.Matrix) ([]byte, error) {
 	spec, err := json.Marshal(m)
 	if err != nil {
 		return nil, err
@@ -602,7 +634,7 @@ func (e *serviceEnv) reference(m experiment.Matrix, rec *recorder) ([]byte, erro
 	if ref, ok := e.refs[string(spec)]; ok {
 		return ref, nil
 	}
-	ref, err := runnerJSONL(m, rec, "ref"+string(spec))
+	ref, err := runnerJSONL(m, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -611,8 +643,8 @@ func (e *serviceEnv) reference(m experiment.Matrix, rec *recorder) ([]byte, erro
 }
 
 // check compares every job's result stream byte for byte with the
-// reference Runner's JSONL for the same matrix.
-func (e *serviceEnv) check(rec *recorder) (attempted, failed int) {
+// reference Runner's JSONL for the same matrix. It records no spans.
+func (e *serviceEnv) check(*recorder) (attempted, failed int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, out := range e.outcomes {
@@ -620,7 +652,7 @@ func (e *serviceEnv) check(rec *recorder) (attempted, failed int) {
 			continue // already counted as a failed job
 		}
 		attempted++
-		ref, err := e.reference(out.matrix, rec)
+		ref, err := e.reference(out.matrix)
 		if err != nil || !bytes.Equal(out.body, ref) {
 			failed++
 			fmt.Fprintf(os.Stderr, "perfbench: job %s: results differ from the in-process Runner (%v)\n", out.job.ID, err)
@@ -658,9 +690,10 @@ func (e *serviceEnv) layers(rec *recorder, m map[string]float64) (attempted, fai
 	m["cache.entries"], m["cache.bytes"] = float64(stats.Entries), float64(stats.TotalBytes)
 
 	// Replay and unit costs on cells of the first traced job's matrix.
+	var first *jobOutcome
 	var cells []experiment.Scenario
 	var results []experiment.ScenarioResult
-	for _, out := range traced {
+	for i, out := range traced {
 		if out.err != nil {
 			continue
 		}
@@ -672,11 +705,24 @@ func (e *serviceEnv) layers(rec *recorder, m map[string]float64) (attempted, fai
 		if err != nil || len(rows) != len(scs) {
 			return attempted, failed, fmt.Errorf("job %s: undecodable results: %v", out.job.ID, err)
 		}
-		cells, results = scs, rows
+		first, cells, results = &traced[i], scs, rows
 		break
 	}
-	if cells == nil {
+	if first == nil {
 		return attempted, failed, errors.New("traced load completed no job")
+	}
+	// The workload's cells run inside sweepd, where the benchmark records
+	// no spans, so the experiment.cell spans time this matrix replayed on
+	// an in-process Runner (2 workers, no cache), whose stream must equal
+	// the job's.
+	replay, err := runnerJSONL(first.matrix, rec, "replay-"+first.job.ID)
+	if err != nil {
+		return attempted, failed, err
+	}
+	attempted++
+	if !bytes.Equal(replay, first.body) {
+		failed++
+		fmt.Fprintf(os.Stderr, "perfbench: job %s: results differ from the replayed Runner\n", first.job.ID)
 	}
 	a, f, err := probeLayers(rec, e.seed, cells, results, 2, filepath.Join(e.dir, "probe-cache"), m)
 	return attempted + a, failed + f, err

@@ -144,6 +144,36 @@ func TestRecorderSpansAndMerge(t *testing.T) {
 	}
 }
 
+// A window's speed is its bursts' operations over their CPU time; a window
+// too short to hold a burst takes the nearest one.
+func TestMeterSpeedOverWindow(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	bursts := []burst{
+		{at: at(25), ops: 100, cpu: time.Millisecond},
+		{at: at(50), ops: 300, cpu: time.Millisecond},
+		{at: at(75), ops: 50, cpu: 500 * time.Microsecond},
+	}
+	cases := []struct {
+		name     string
+		from, to time.Time
+		want     float64
+	}{
+		{"all bursts", at(0), at(100), 450 / 2.5e-3},
+		{"bursts are weighted by CPU time", at(40), at(80), 350 / 1.5e-3},
+		{"ends are inclusive", at(25), at(25), 100 / 1e-3},
+		{"nearest burst", at(60), at(70), 50 / 0.5e-3},
+	}
+	for _, c := range cases {
+		if got := windowSpeed(bursts, c.from, c.to); math.Abs(got-c.want) > 1e-6*c.want {
+			t.Errorf("%s: speed %v, want %v", c.name, got, c.want)
+		}
+	}
+	if !math.IsNaN(windowSpeed(nil, at(0), at(1))) {
+		t.Error("a window without bursts must give NaN")
+	}
+}
+
 // BENCHMARK.json must name exactly the metrics the program prints.
 func TestBenchmarkJSONMatchesMetrics(t *testing.T) {
 	raw, err := os.ReadFile("../BENCHMARK.json")

@@ -88,11 +88,9 @@ func newSweepVerifiable(seed int64, dir string) (env, error) {
 }
 
 // newSweep's set-up is expanding the first sweep's matrix, backend probes
-// included.
+// included. The directories under dir are created by the caches and stores
+// that use them.
 func newSweep(seed int64, dir string, shape func(int64) experiment.Matrix) (env, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	e := &sweepEnv{seed: seed, dir: dir, shape: shape}
 	if err := e.expandNext(); err != nil {
 		return nil, err

@@ -76,6 +76,19 @@ func (o *openSpan) endOps(ops int) {
 	o.r.mu.Unlock()
 }
 
+// add records a span whose ends were observed elsewhere. Safe on a nil
+// recorder.
+func (r *recorder) add(name, key string, parent int64, start, end time.Time) {
+	if r == nil {
+		return
+	}
+	s := span{ID: r.nextID.Add(1), Parent: parent, Name: name, Key: key,
+		Start: int64(start.Sub(r.epoch)), End: int64(end.Sub(r.epoch))}
+	r.mu.Lock()
+	r.spans = append(r.spans, s)
+	r.mu.Unlock()
+}
+
 // named returns the closed spans called name, in start order.
 func (r *recorder) named(name string) []span {
 	r.mu.Lock()
