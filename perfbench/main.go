@@ -40,9 +40,10 @@ const nproc = 2
 // and only the last set-up carries the timed load. A sweep's set-up is an
 // expansion of 15–35 µs, so it is repeated tens of thousands of times:
 // 25 samples of so short a span left a median that moved by more than half
-// from run to run. Set-ups of a second or more stop at minSetups.
+// from run to run. Set-ups of a second or more stop at minSetups, which
+// keeps service-churn's two-second store fill to about ten seconds a run.
 const (
-	minSetups   = 9
+	minSetups   = 5
 	setupBudget = time.Second
 )
 
@@ -366,8 +367,7 @@ func printHuman(o options, res result, jobs, tailP int) {
 const sliceSeconds = 1.0
 
 // measure runs about seconds of load in slices and reports every job time
-// on the reference host's clock: a time measured while the host ran at
-// speed s is scaled by s / refSpeed.
+// on the reference host's clock (see scaled).
 func measure(e env, meter *hostMeter, seconds float64, rec *recorder) (*loadStats, error) {
 	out := &loadStats{}
 	for out.wall.Seconds() < seconds {

@@ -38,10 +38,19 @@ const (
 // 1 100 000–1 840 000).
 const refSpeed = 1300000
 
-// scaled converts a duration measured while the host ran at speed into
-// reference-host time: twice as fast a host counts each second twice.
+// speedExponent is how strongly the program's times follow the meter: on
+// the reference host, a slowdown that cut the meter's speed by a factor f
+// stretched the workloads' times by about f^1.5. The meter's dependent
+// multiply chain is latency-bound and loses less to a busy neighbour than
+// the program's allocation- and memory-heavy code does. Over six runs of
+// each workload, spread across a quarter hour, the run medians spread
+// least with 1.5: 0.05–0.085 against 0.08–0.10 with 1 and 0.05–0.11 with 2.
+const speedExponent = 1.5
+
+// scaled converts a duration measured while the host's meter read speed
+// into reference-host time: d · (speed/refSpeed)^speedExponent.
 func scaled(d time.Duration, speed float64) time.Duration {
-	return time.Duration(float64(d) * speed / refSpeed)
+	return time.Duration(float64(d) * math.Pow(speed/refSpeed, speedExponent))
 }
 
 // meterOp is one metering operation: 64 rounds of a 4-limb

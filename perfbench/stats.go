@@ -38,7 +38,7 @@ const minBeyond = 10
 // tailPercentile picks the percentile a run of n samples can report
 // honestly: the highest whole percentile up to 90 that leaves at least
 // minBeyond samples above it (nearest rank). p90 needs 100 samples. Below
-// 20 samples no percentile from the median up qualifies, and it falls back
+// 20 samples no percentile above the median qualifies, and it falls back
 // to the median: the maximum of a handful of samples is not a tail figure
 // that repeats.
 func tailPercentile(n int) int {
@@ -50,8 +50,16 @@ func tailPercentile(n int) int {
 	return 50
 }
 
-// tail reports xs at tailPercentile(len(xs)).
-func tail(xs []float64) float64 { return quantile(xs, float64(tailPercentile(len(xs)))/100) }
+// tail reports xs at tailPercentile(len(xs)); at p50 it is the median,
+// midpoint included, so a run too short for a tail reports the same figure
+// as its median.
+func tail(xs []float64) float64 {
+	p := tailPercentile(len(xs))
+	if p == 50 {
+		return median(xs)
+	}
+	return quantile(xs, float64(p)/100)
+}
 
 // remainder is the part of a measured whole that the attributed shares do
 // not explain: 1 − Σ shares. It is negative when the per-layer unit costs

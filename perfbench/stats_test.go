@@ -45,6 +45,9 @@ func TestTailReportsThePercentileSample(t *testing.T) {
 	if got := tail([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("tail of 3 samples = %v, want the median", got)
 	}
+	if got := tail([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("tail of 4 samples = %v, want the median 2.5", got)
+	}
 	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Errorf("median = %v, want 2.5", got)
 	}
@@ -171,6 +174,17 @@ func TestMeterSpeedOverWindow(t *testing.T) {
 	}
 	if !math.IsNaN(windowSpeed(nil, at(0), at(1))) {
 		t.Error("a window without bursts must give NaN")
+	}
+}
+
+// A time taken at the reference speed is kept; one taken on a host whose
+// meter reads four times as fast counts 4^1.5 = 8 times.
+func TestScaledToReferenceHost(t *testing.T) {
+	if got := scaled(time.Second, refSpeed); got != time.Second {
+		t.Errorf("at the reference speed: %v, want 1s", got)
+	}
+	if got := scaled(time.Second, 4*refSpeed); got != 8*time.Second {
+		t.Errorf("at four times the reference speed: %v, want 8s", got)
 	}
 }
 

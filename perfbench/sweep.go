@@ -26,26 +26,29 @@ var testbedOfSize = map[int]string{26: "flocklab", 20: "grid"}
 // coldMatrix is sweep-cold's plain matrix: 32 cells mixing the per-lane
 // log-distance path with the bit-sliced certain-link unit-disk path, S3 and
 // S4, scalar and 8-element vectors, two loss rates and two deployments.
+// Iterations are few enough that a run holds well over a dozen sweeps, so
+// the run's median sweep time does not rest on a handful of them.
 func coldMatrix(seed int64) experiment.Matrix {
 	return experiment.Matrix{
 		Backends:   []string{"logdist", "unitdisk"},
 		NodeCounts: []int{26, 20},
 		LossRates:  []float64{0.1, 0.3},
 		VectorLens: []int{0, 8},
-		Iterations: 32,
+		Iterations: 16,
 		Seed:       seed,
 	}
 }
 
 // verifiableMatrix is sweep-verifiable's matrix: Feldman verification makes
-// each trial ~20x dearer, so fewer cells on the smaller deployment.
+// each trial ~20x dearer, so fewer cells on the smaller deployment, and
+// iterations few enough for a few dozen sweeps a run.
 func verifiableMatrix(seed int64) experiment.Matrix {
 	return experiment.Matrix{
 		Backends:   []string{"logdist", "unitdisk"},
 		NodeCounts: []int{20},
 		LossRates:  []float64{0.1, 0.3},
 		Verifiable: []bool{true},
-		Iterations: 8,
+		Iterations: 4,
 		Seed:       seed,
 	}
 }
@@ -53,7 +56,7 @@ func verifiableMatrix(seed int64) experiment.Matrix {
 // checkBudget bounds the scalar recomputation of sampled cells; at least
 // minChecked cells are recomputed whatever it costs.
 const (
-	checkBudget = 3 * time.Second
+	checkBudget = 2 * time.Second
 	minChecked  = 2
 )
 
