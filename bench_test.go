@@ -7,7 +7,8 @@
 //	BenchmarkFig1c_DCubeLatency      Fig 1(ii)(c)
 //	BenchmarkFig1d_DCubeRadioOn      Fig 1(ii)(d)
 //
-// plus ablation benches for the design choices DESIGN.md calls out and
+// plus ablation benches for the protocol's design choices (NTX, polynomial
+// degree, duty cycle, Feldman verification, the HE baseline) and
 // TestPaperClaim_* checks for the in-text headline numbers. Benchmarks report
 // the figure's metric (simulated milliseconds per round) as a custom metric;
 // wall-clock ns/op measures the simulator, not the protocol.
@@ -298,8 +299,9 @@ func paperClaim(t *testing.T, testbed topology.Topology, ntx int,
 }
 
 // TestPaperClaim_FlockLabGains checks the paper's "at least 6× faster, 7×
-// lesser radio-on time" FlockLab claim, with tolerance for the simulated
-// substrate (see EXPERIMENTS.md).
+// lesser radio-on time" FlockLab claim. The bands are wider than the paper's
+// figures because the testbeds are synthetic layouts (internal/topology)
+// under a statistical channel model.
 func TestPaperClaim_FlockLabGains(t *testing.T) {
 	paperClaim(t, topology.FlockLab(), 6, 4, 8, 4, 9)
 }

@@ -107,7 +107,7 @@ type Config struct {
 	// crashes that happen after commissioning.
 	Failed []bool
 	// NoEarlyOff disables S4's early radio-off in the reconstruction phase
-	// (ablation knob; see DESIGN.md).
+	// (an ablation knob: it isolates what early-off saves in radio-on time).
 	NoEarlyOff bool
 	// Secrets optionally fixes each source's secret (e.g. actual sensor
 	// readings). Keys must cover every source. Nil draws random secrets per

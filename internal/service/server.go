@@ -641,6 +641,13 @@ const eventsPollInterval = time.Second
 // when the gap outran the ring — a fresh state snapshot to resynchronize.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// Subscribe BEFORE reading the job: an event published afterwards is
+	// in the queue (or reflected by the poll), one published before is
+	// reflected by the read, and the `sent` cursor drops whatever both
+	// paths deliver. Reading first would let a job end in between and
+	// leave its final event undelivered until the poll.
+	sub := s.hub.subscribe(id)
+	defer s.hub.unsubscribe(id, sub)
 	job, ok := s.cfg.Store.Job(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "", "no such job")
@@ -680,11 +687,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Subscribe BEFORE the snapshot/replay: anything published afterwards
-	// is either in the queue or reflected by the poll, and the `sent`
-	// cursor drops whatever both paths deliver.
-	sub := s.hub.subscribe(id)
-	defer s.hub.unsubscribe(id, sub)
 	if resuming {
 		missed, gap := s.hub.replay(id, lastID)
 		if gap {

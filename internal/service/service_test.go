@@ -261,6 +261,13 @@ func TestUnknownJobRoutes(t *testing.T) {
 			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
+	// The events request subscribed before finding no job; it must leave
+	// no stream behind.
+	f.svc.hub.mu.Lock()
+	defer f.svc.hub.mu.Unlock()
+	if len(f.svc.hub.jobs) != 0 || len(f.svc.hub.order) != 0 {
+		t.Errorf("unknown-id events request left %d streams (order %v)", len(f.svc.hub.jobs), f.svc.hub.order)
+	}
 }
 
 // sseEvent is one parsed server-sent event.

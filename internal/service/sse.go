@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // event is one server-sent event: a name ("progress" or "state"), a
 // pre-encoded JSON data payload, and the per-job sequence number the hub
@@ -53,6 +56,10 @@ type hub struct {
 	mu    sync.Mutex
 	jobs  map[string]*jobStream
 	order []string // stream creation order, for eviction
+
+	// beforeSubscribe, when set, runs at the start of subscribe, so tests
+	// can land a job transition just before a subscriber is registered.
+	beforeSubscribe func(jobID string)
 }
 
 func newHub() *hub {
@@ -90,6 +97,9 @@ func (h *hub) stream(jobID string) *jobStream {
 
 // subscribe registers a new listener for jobID's events.
 func (h *hub) subscribe(jobID string) *subscriber {
+	if h.beforeSubscribe != nil {
+		h.beforeSubscribe(jobID)
+	}
 	sub := &subscriber{ch: make(chan event, subscriberBuffer)}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -98,12 +108,21 @@ func (h *hub) subscribe(jobID string) *subscriber {
 }
 
 // unsubscribe removes a listener; safe to call once per subscriber. The
-// stream itself is retained — its ring is what a reconnect replays.
+// stream itself is retained — its ring is what a reconnect replays — unless
+// nothing was ever published to it (an unknown job, or one not yet
+// started), so requests for unknown ids leave nothing behind to crowd out
+// real streams.
 func (h *hub) unsubscribe(jobID string, sub *subscriber) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if js := h.jobs[jobID]; js != nil {
-		delete(js.subs, sub)
+	js := h.jobs[jobID]
+	if js == nil {
+		return
+	}
+	delete(js.subs, sub)
+	if len(js.subs) == 0 && js.seq == 0 {
+		delete(h.jobs, jobID)
+		h.order = slices.DeleteFunc(h.order, func(id string) bool { return id == jobID })
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // idEvent is one parsed SSE event with its (optional) id line.
@@ -142,5 +144,37 @@ func TestSSEReplayGapResyncs(t *testing.T) {
 	}
 	if events[0].name != "state" || !strings.Contains(events[0].data, `"done"`) {
 		t.Fatalf("gap reconnect first event %+v, want fresh terminal snapshot", events[0])
+	}
+}
+
+// TestSSETerminalBetweenReadAndSubscribe lands the terminal transition just
+// before the handler's subscribe registers: its final state event goes to
+// nobody, so the stream must still end with the terminal state at once,
+// not after the poll interval.
+func TestSSETerminalBetweenReadAndSubscribe(t *testing.T) {
+	f := newFixture(t, t.TempDir(), t.TempDir(), false)
+	job := f.submit(t, testMatrix())
+	f.svc.hub.beforeSubscribe = func(id string) {
+		req := httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+id, nil)
+		rec := httptest.NewRecorder()
+		f.svc.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Errorf("cancel in the window: status %d", rec.Code)
+		}
+	}
+
+	start := time.Now()
+	resp := getEvents(t, f, job.ID, "")
+	defer resp.Body.Close()
+	events := readSSEWithIDs(resp.Body, 10)
+	elapsed := time.Since(start)
+	if len(events) == 0 {
+		t.Fatal("no events")
+	}
+	if last := events[len(events)-1]; last.name != "state" || !strings.Contains(last.data, `"canceled"`) {
+		t.Fatalf("stream ends with %+v, want the canceled state", last)
+	}
+	if elapsed >= eventsPollInterval/2 {
+		t.Fatalf("stream took %v to end, want well under the %v poll", elapsed, eventsPollInterval)
 	}
 }

@@ -6,7 +6,7 @@ import "iotmpc/internal/phy"
 // published, so the layouts below are synthetic reconstructions that match
 // the properties that matter to CT protocols: node count, indoor office
 // scale, and multi-hop depth (FlockLab floods complete in a few hops; D-Cube
-// is larger and deeper). See DESIGN.md "substitutions".
+// is larger and deeper).
 
 // FlockLab returns the 26-node model of the FlockLab 2 testbed
 // (ETH Zürich office building, nRF52840 targets). The layout spans two

@@ -66,12 +66,7 @@ func (c *Commitment) Degree() int { return len(c.points) - 1 }
 // Bytes returns the wire size of the commitment vector — what the sharing
 // chain additionally carries per source when verification is enabled.
 func (c *Commitment) Bytes() int {
-	total := 0
-	for _, p := range c.points {
-		total += (groupP.BitLen() + 7) / 8
-		_ = p
-	}
-	return total
+	return len(c.points) * ((groupP.BitLen() + 7) / 8)
 }
 
 // SecretCommitment returns the dealer's commitment to the secret itself
@@ -100,7 +95,8 @@ func Deal(secret field.Element, degree int, points []field.Element, rng io.Reade
 	}
 	commit := &Commitment{points: make([]*big.Int, len(poly))}
 	for i, coeff := range poly {
-		commit.points[i] = new(big.Int).Exp(groupG, new(big.Int).SetUint64(coeff.Uint64()), groupP)
+		g := gExp(coeff.Uint64())
+		commit.points[i] = montToBig(&g)
 	}
 	shares := make([]Share, len(points))
 	for i, x := range points {
@@ -111,33 +107,42 @@ func Deal(secret field.Element, degree int, points []field.Element, rng io.Reade
 
 // Verify checks that the share lies on the dealer's committed polynomial:
 //
-//	G^{value} == Π points[i]^(x^i mod q)   (mod P)
+//	G^{value} == Π points[i]^(x^i)   (mod P)
 //
 // Because the subgroup order equals the share field modulus q, exponent
-// arithmetic mod q matches polynomial arithmetic over GF(q) exactly.
+// arithmetic mod q matches polynomial arithmetic over GF(q) exactly. The
+// right side is evaluated in Horner form, (((C_k)^x·C_{k−1})^x ···)^x·C_0,
+// with the integer x^i as exponent, not x^i mod q: the two agree for every
+// point of the order-q subgroup, but a point outside it (which the range
+// check admits) can verify differently once x^k ≥ q.
 func Verify(s Share, commit *Commitment) error {
-	if commit == nil || len(commit.points) == 0 {
+	if commit == nil || len(commit.points) == 0 || !inRange(commit.points) {
 		return ErrBadCommitment
 	}
-	for _, p := range commit.points {
-		if p == nil || p.Sign() <= 0 || p.Cmp(groupP) >= 0 {
-			return ErrBadCommitment
-		}
-	}
-	lhs := new(big.Int).Exp(groupG, new(big.Int).SetUint64(s.Value.Uint64()), groupP)
+	lhs := gExp(s.Value.Uint64())
 
-	rhs := big.NewInt(1)
-	xPow := field.One
-	for _, cm := range commit.points {
-		term := new(big.Int).Exp(cm, new(big.Int).SetUint64(xPow.Uint64()), groupP)
-		rhs.Mul(rhs, term)
-		rhs.Mod(rhs, groupP)
-		xPow = xPow.Mul(s.X)
+	x := s.X.Uint64()
+	k := len(commit.points) - 1
+	rhs := montFromBig(commit.points[k])
+	for i := k - 1; i >= 0; i-- {
+		c := montFromBig(commit.points[i])
+		montExp(&rhs, &rhs, x)
+		montMul(&rhs, &rhs, &c)
 	}
-	if lhs.Cmp(rhs) != 0 {
+	if lhs != rhs {
 		return ErrVerifyFailed
 	}
 	return nil
+}
+
+// inRange reports whether every point is a residue in (0, P).
+func inRange(points []*big.Int) bool {
+	for _, p := range points {
+		if p == nil || p.Sign() <= 0 || p.Cmp(groupP) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // AggregateCommitments multiplies per-source commitment vectors
@@ -157,10 +162,10 @@ func AggregateCommitments(commits []*Commitment) (*Commitment, error) {
 		if c == nil || len(c.points) != width {
 			return nil, fmt.Errorf("%w: mismatched vector widths", ErrBadCommitment)
 		}
+		if !inRange(c.points) {
+			return nil, ErrBadCommitment
+		}
 		for i, p := range c.points {
-			if p == nil || p.Sign() <= 0 || p.Cmp(groupP) >= 0 {
-				return nil, ErrBadCommitment
-			}
 			out.points[i].Mul(out.points[i], p)
 			out.points[i].Mod(out.points[i], groupP)
 		}
