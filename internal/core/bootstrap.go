@@ -6,6 +6,7 @@ import (
 
 	"iotmpc/internal/minicast"
 	"iotmpc/internal/phy"
+	"iotmpc/internal/seckey"
 	"iotmpc/internal/sim"
 )
 
@@ -37,6 +38,11 @@ type Bootstrap struct {
 	Diameter int
 
 	cfg Config
+	// links[src*n+dst] is the secure channel src seals shares to dst
+	// under, prepared once for every pair a round uses and nil elsewhere.
+	// Both directions of a pair share one Link. The table is read-only
+	// after RunBootstrap, so concurrent rounds share it.
+	links []*seckey.Link
 }
 
 // Probing constants. More probes sharpen the estimates at bootstrap cost;
@@ -75,11 +81,60 @@ func RunBootstrap(cfg Config) (*Bootstrap, error) {
 			return nil, err
 		}
 	}
+	if err := b.prepareLinks(); err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
 // Config returns the normalized configuration the bootstrap was run for.
 func (b *Bootstrap) Config() Config { return b.cfg }
+
+// sealDests lists the destinations every source seals a share to: all
+// nodes for S3, the bootstrapped common set for S4.
+func (b *Bootstrap) sealDests() []int {
+	if b.cfg.Protocol == S4 {
+		return b.Dests
+	}
+	dests := make([]int, b.Channel.NumNodes())
+	for i := range dests {
+		dests[i] = i
+	}
+	return dests
+}
+
+// prepareLinks establishes the pairwise secure channel of every (source,
+// destination) pair a round seals under, so rounds pay no per-packet key
+// derivation or AES key expansion.
+func (b *Bootstrap) prepareLinks() error {
+	n := b.Channel.NumNodes()
+	keys := seckey.NewStore(seckey.MasterFromSeed(b.cfg.MasterSeed))
+	b.links = make([]*seckey.Link, n*n)
+	dests := b.sealDests()
+	for _, src := range b.cfg.Sources {
+		for _, dst := range dests {
+			if dst == src || b.links[src*n+dst] != nil {
+				continue
+			}
+			key, err := keys.PairKey(src, dst)
+			if err != nil {
+				return err
+			}
+			l := seckey.NewLink(key)
+			b.links[src*n+dst], b.links[dst*n+src] = l, l
+		}
+	}
+	return nil
+}
+
+// link returns the prepared channel from node src to node dst.
+func (b *Bootstrap) link(src, dst int) (*seckey.Link, error) {
+	l := b.links[src*b.Channel.NumNodes()+dst]
+	if l == nil {
+		return nil, fmt.Errorf("%w: no link %d -> %d prepared at bootstrap", ErrBadConfig, src, dst)
+	}
+	return l, nil
+}
 
 // probeItems is an all-to-all broadcast chain: one item per node.
 func probeItems(n int) []minicast.Item {

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
+	"iotmpc/internal/field"
 	"iotmpc/internal/phy"
+	"iotmpc/internal/seckey"
+	"iotmpc/internal/sim"
 	"iotmpc/internal/topology"
 	"iotmpc/internal/trace"
 )
@@ -216,5 +220,95 @@ func TestRunRoundLanesSingleLane(t *testing.T) {
 	}
 	if len(lanes) != 1 || !reflect.DeepEqual(lanes[0], want) {
 		t.Error("single-lane batch diverges from scalar round")
+	}
+}
+
+// TestSharedBootstrapConcurrentLanes drives one bootstrap from two
+// sim.ParallelFor workers at once, as the experiment runner does: the
+// links prepared at bootstrap are shared by every concurrent round, and
+// each lane batch must still match the scalar rounds exactly. The race CI
+// job runs this under -race.
+func TestSharedBootstrapConcurrentLanes(t *testing.T) {
+	be := laneBackends(t)[2] // trace backend: 10 nodes
+	verifiable := be.cfg(S4)
+	verifiable.Verifiable = true
+	verifiable.VectorLen = 2
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"S3", be.cfg(S3)},
+		{"S4", be.cfg(S4)},
+		{"S4-verifiable", verifiable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			boot := bootFor(t, tc.cfg)
+			const batches, width = 4, 3
+			got := make([][]*RoundResult, batches)
+			err := sim.ParallelFor(batches, 2, func(i int) error {
+				res, err := RunRoundLanes(boot, uint64(i*width), width)
+				got[i] = res
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, batch := range got {
+				for l, res := range batch {
+					trial := uint64(i*width + l)
+					want, err := RunRound(boot, trial)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res, want) {
+						t.Errorf("trial %d: concurrent lane result diverges from RunRound", trial)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBootstrapLinksUsePairKeys pins the prepared links to the network's
+// pairwise keys: every link a round seals under produces the packet the
+// per-packet key path produces, in both directions of the pair.
+func TestBootstrapLinksUsePairKeys(t *testing.T) {
+	be := laneBackends(t)[2]
+	for _, proto := range []Protocol{S3, S4} {
+		boot := bootFor(t, be.cfg(proto))
+		cfg := boot.Config()
+		keys := seckey.NewStore(seckey.MasterFromSeed(cfg.MasterSeed))
+		values := []field.Element{field.New(3), field.New(5)}
+		pairs := 0
+		for _, src := range cfg.Sources {
+			for _, dst := range boot.sealDests() {
+				if src == dst {
+					continue
+				}
+				for _, dir := range [][2]int{{src, dst}, {dst, src}} {
+					link, err := boot.link(dir[0], dir[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					key, err := keys.PairKey(dir[0], dir[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx := seckey.PacketContext{Round: 1, Sender: uint16(dir[0]), Receiver: uint16(dir[1])}
+					got, _ := link.SealVector(ctx, values)
+					want, _ := seckey.SealVector(key, ctx, values)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%v link %d -> %d seals under the wrong key", proto, dir[0], dir[1])
+					}
+				}
+				pairs++
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("%v: no links checked", proto)
+		}
+		if _, err := boot.link(0, 0); err == nil {
+			t.Errorf("%v: self link should not exist", proto)
+		}
 	}
 }

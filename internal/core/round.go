@@ -124,7 +124,6 @@ func prepareShares(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Ra
 	ch := boot.Channel
 	n := ch.NumNodes()
 	points := shamir.PublicPoints(n)
-	keys := cfg.keyStore()
 
 	p := &sharePrep{
 		vecLen: cfg.effVectorLen(),
@@ -133,17 +132,10 @@ func prepareShares(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Ra
 		// byte-stable for historical configurations: trace event details.
 		vecMode: cfg.VectorLen > 0,
 		ntx:     cfg.NTXSharing,
+		dests:   boot.sealDests(),
 	}
-	// Destinations: all nodes for S3, the bootstrapped common set for S4.
-	switch cfg.Protocol {
-	case S3:
-		p.dests = make([]int, n)
-		for i := range p.dests {
-			p.dests[i] = i
-		}
+	if cfg.Protocol == S3 {
 		p.ntx = boot.NTXFull
-	case S4:
-		p.dests = boot.Dests
 	}
 	vecLen := p.vecLen
 
@@ -207,7 +199,7 @@ func prepareShares(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Ra
 				p.localShares[dst] = append(p.localShares[dst], out[dst])
 				continue
 			}
-			key, err := keys.PairKey(src, dst)
+			link, err := boot.link(src, dst)
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +209,7 @@ func prepareShares(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Ra
 				Receiver: uint16(dst),
 				Slot:     uint32(len(p.deliveries)),
 			}
-			sealed, err := seckey.SealVector(key, ctx, out[dst].Values)
+			sealed, err := link.SealVector(ctx, out[dst].Values)
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +282,6 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 	boot, cfg, prep, rec := e.boot, e.cfg, e.prep, e.rec
 	ch := boot.Channel
 	n := ch.NumNodes()
-	keys := cfg.keyStore()
 	vecLen := prep.vecLen
 	ntx := prep.ntx
 	expected := prep.expected
@@ -320,7 +311,7 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		if !e.haveShare(dst, idx) {
 			continue
 		}
-		key, err := keys.PairKey(d.item.Owner, dst)
+		link, err := boot.link(d.item.Owner, dst)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +321,7 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 			Receiver: uint16(dst),
 			Slot:     uint32(idx),
 		}
-		values, err := seckey.OpenVector(key, ctx, vecLen, d.sealed)
+		values, err := link.OpenVector(ctx, vecLen, d.sealed)
 		if err != nil {
 			return nil, fmt.Errorf("open share vector %d: %w", idx, err)
 		}
@@ -512,12 +503,13 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 //
 // The round is vectorized end to end: every source shares a VectorLen-long
 // reading vector (shamir.SplitVec — one polynomial per coordinate), ships
-// ONE sealed vector per destination (seckey.SealVector — one MIC for the
-// whole vector), destinations aggregate share vectors coordinate-wise, and
-// reconstruction recovers the full aggregate vector from one cached
-// Lagrange basis (shamir.ReconstructVec). Scalar rounds are the L=1
-// degenerate case and produce results bit-identical to the historical
-// one-share-per-packet path.
+// ONE sealed vector per destination (seckey.Link.SealVector over the link
+// prepared at bootstrap — one MIC for the whole vector), destinations
+// aggregate share vectors coordinate-wise, and reconstruction recovers the
+// full aggregate vector from one cached Lagrange basis
+// (shamir.ReconstructVec). Scalar rounds are the L=1 degenerate case and
+// produce results bit-identical to the historical one-share-per-packet
+// path.
 func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *trace.Recorder) (*RoundResult, error) {
 	if boot == nil || boot.Channel == nil {
 		return nil, fmt.Errorf("%w: nil bootstrap", ErrBadConfig)

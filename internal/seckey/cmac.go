@@ -8,7 +8,8 @@ import (
 
 // AES-CMAC (RFC 4493): message authentication built solely on the AES block
 // cipher, matching what a constrained node with an AES peripheral would use
-// instead of HMAC-SHA256.
+// instead of HMAC-SHA256. Link.cmac computes the MAC itself from the subkeys
+// derived here.
 
 // cmacSubkeys derives the two CMAC subkeys K1, K2 from the block cipher.
 func cmacSubkeys(b cipher.Block) (k1, k2 [aes.BlockSize]byte) {
@@ -31,48 +32,6 @@ func dbl(in [aes.BlockSize]byte) [aes.BlockSize]byte {
 		out[aes.BlockSize-1] ^= 0x87
 	}
 	return out
-}
-
-// cmac computes the full 16-byte AES-CMAC of msg under key.
-func cmac(key Key, msg []byte) ([aes.BlockSize]byte, error) {
-	var mac [aes.BlockSize]byte
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return mac, err
-	}
-	k1, k2 := cmacSubkeys(block)
-
-	n := len(msg) / aes.BlockSize
-	rem := len(msg) % aes.BlockSize
-	full := rem == 0 && len(msg) > 0
-
-	var last [aes.BlockSize]byte
-	if full {
-		copy(last[:], msg[len(msg)-aes.BlockSize:])
-		for i := range last {
-			last[i] ^= k1[i]
-		}
-		n--
-	} else {
-		copy(last[:], msg[n*aes.BlockSize:])
-		last[rem] = 0x80
-		for i := range last {
-			last[i] ^= k2[i]
-		}
-	}
-
-	var x [aes.BlockSize]byte
-	for i := 0; i < n; i++ {
-		for j := 0; j < aes.BlockSize; j++ {
-			x[j] ^= msg[i*aes.BlockSize+j]
-		}
-		block.Encrypt(x[:], x[:])
-	}
-	for j := 0; j < aes.BlockSize; j++ {
-		x[j] ^= last[j]
-	}
-	block.Encrypt(mac[:], x[:])
-	return mac, nil
 }
 
 // tagEqual compares MAC tags in constant time.

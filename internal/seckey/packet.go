@@ -2,7 +2,6 @@ package seckey
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,24 +78,7 @@ func (c PacketContext) nonce() [aes.BlockSize]byte {
 // SealShare encrypts and authenticates one share value under the pairwise
 // key, bound to ctx.
 func SealShare(key Key, ctx PacketContext, value field.Element) ([]byte, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("seal cipher: %w", err)
-	}
-	var plain [8]byte
-	binary.LittleEndian.PutUint64(plain[:], value.Uint64())
-
-	nonce := ctx.nonce()
-	out := make([]byte, SealedShareSize)
-	ctr := cipher.NewCTR(block, nonce[:])
-	ctr.XORKeyStream(out[:8], plain[:])
-
-	mac, err := cmacOverPacket(key, ctx, out[:8])
-	if err != nil {
-		return nil, err
-	}
-	copy(out[8:], mac[:TagSize])
-	return out, nil
+	return NewLink(key).seal(ctx, []field.Element{value}), nil
 }
 
 // OpenShare verifies and decrypts a sealed share.
@@ -104,99 +86,20 @@ func OpenShare(key Key, ctx PacketContext, sealed []byte) (field.Element, error)
 	if len(sealed) < SealedShareSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrShortPacket, len(sealed))
 	}
-	mac, err := cmacOverPacket(key, ctx, sealed[:8])
+	values, err := NewLink(key).open(ctx, 1, sealed)
 	if err != nil {
 		return 0, err
 	}
-	if !tagEqual(mac[:TagSize], sealed[8:SealedShareSize]) {
-		return 0, ErrAuthFailed
-	}
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return 0, fmt.Errorf("open cipher: %w", err)
-	}
-	nonce := ctx.nonce()
-	var plain [8]byte
-	ctr := cipher.NewCTR(block, nonce[:])
-	ctr.XORKeyStream(plain[:], sealed[:8])
-	return field.New(binary.LittleEndian.Uint64(plain[:])), nil
+	return values[0], nil
 }
 
-// SealVector encrypts and authenticates a whole share vector under the
-// pairwise key: one CTR keystream over the packed 8·L-byte payload and a
-// single truncated CMAC tag for the vector. ctx.VecLen is overwritten with
-// len(values), binding the length into the nonce and MIC.
+// SealVector is Link.SealVector under a key prepared for this one packet.
+// Callers sealing many packets per pair should hold a Link instead.
 func SealVector(key Key, ctx PacketContext, values []field.Element) ([]byte, error) {
-	l := len(values)
-	if l > MaxVectorElems {
-		return nil, fmt.Errorf("%w: %d elements", ErrBadVectorLen, l)
-	}
-	ctx.VecLen = uint16(l)
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("seal cipher: %w", err)
-	}
-	plain := make([]byte, 8*l)
-	for i, v := range values {
-		binary.LittleEndian.PutUint64(plain[8*i:], v.Uint64())
-	}
-	nonce := ctx.nonce()
-	out := make([]byte, SealedVectorSize(l))
-	ctr := cipher.NewCTR(block, nonce[:])
-	ctr.XORKeyStream(out[:8*l], plain)
-
-	mac, err := cmacOverPacket(key, ctx, out[:8*l])
-	if err != nil {
-		return nil, err
-	}
-	copy(out[8*l:], mac[:TagSize])
-	return out, nil
+	return NewLink(key).SealVector(ctx, values)
 }
 
-// OpenVector verifies and decrypts a sealed share vector of exactly vecLen
-// elements. A truncated packet returns ErrShortPacket; a tampered packet, or
-// one sealed under a different length, slot, or round, returns ErrAuthFailed.
+// OpenVector is Link.OpenVector under a key prepared for this one packet.
 func OpenVector(key Key, ctx PacketContext, vecLen int, sealed []byte) ([]field.Element, error) {
-	if vecLen < 0 || vecLen > MaxVectorElems {
-		return nil, fmt.Errorf("%w: %d elements", ErrBadVectorLen, vecLen)
-	}
-	ctx.VecLen = uint16(vecLen)
-	ct := 8 * vecLen
-	if len(sealed) < SealedVectorSize(vecLen) {
-		return nil, fmt.Errorf("%w: %d bytes for %d elements", ErrShortPacket, len(sealed), vecLen)
-	}
-	mac, err := cmacOverPacket(key, ctx, sealed[:ct])
-	if err != nil {
-		return nil, err
-	}
-	if !tagEqual(mac[:TagSize], sealed[ct:ct+TagSize]) {
-		return nil, ErrAuthFailed
-	}
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("open cipher: %w", err)
-	}
-	nonce := ctx.nonce()
-	plain := make([]byte, ct)
-	ctr := cipher.NewCTR(block, nonce[:])
-	ctr.XORKeyStream(plain, sealed[:ct])
-	values := make([]field.Element, vecLen)
-	for i := range values {
-		values[i] = field.New(binary.LittleEndian.Uint64(plain[8*i:]))
-	}
-	return values, nil
-}
-
-// cmacOverPacket authenticates ciphertext together with the packet context
-// (the associated data), so replays across slots/rounds are rejected.
-func cmacOverPacket(key Key, ctx PacketContext, ct []byte) ([aes.BlockSize]byte, error) {
-	nonce := ctx.nonce()
-	msg := make([]byte, 0, aes.BlockSize+len(ct))
-	msg = append(msg, nonce[:]...)
-	msg = append(msg, ct...)
-	mac, err := cmac(key, msg)
-	if err != nil {
-		return mac, fmt.Errorf("cmac: %w", err)
-	}
-	return mac, nil
+	return NewLink(key).OpenVector(ctx, vecLen, sealed)
 }

@@ -99,15 +99,25 @@ func TestCMACRFC4493Vectors(t *testing.T) {
 		{"16 bytes", msg16, "070a16b46b4d4144f79bdd9dd04a287c"},
 		{"40 bytes", msg40, "dfa66747de9ae63030ca32611497c827"},
 	}
+	link := NewLink(key)
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := cmac(key, tt.msg)
+			want, _ := hex.DecodeString(tt.want)
+			got, err := referenceCMAC(key, tt.msg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := hex.DecodeString(tt.want)
 			if !bytes.Equal(got[:], want) {
-				t.Errorf("cmac = %x, want %s", got, tt.want)
+				t.Errorf("reference cmac = %x, want %s", got, tt.want)
+			}
+			// Link's CMAC over the whole message, and split after each
+			// whole-block prefix the way packets split nonce ‖ ciphertext.
+			for head := 0; head <= len(tt.msg); head += aes.BlockSize {
+				var mac [aes.BlockSize]byte
+				link.cmac(&mac, tt.msg[:head], tt.msg[head:])
+				if !bytes.Equal(mac[:], want) {
+					t.Errorf("Link cmac with %d-byte head = %x, want %s", head, mac, tt.want)
+				}
 			}
 		})
 	}

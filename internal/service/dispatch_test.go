@@ -464,10 +464,16 @@ func openStoreT(t *testing.T, dir string) *store.Store {
 // no workers reports itself degraded.
 func TestHealthzCoordinator(t *testing.T) {
 	f := newCoordFixture(t, t.TempDir(), t.TempDir(), nil)
-	job := f.submit(t, testMatrix())
-	// Wait until the job is claimed (dispatching, no workers → degraded).
+	f.submit(t, testMatrix())
+	// Wait until the dispatcher has admitted the job (dispatching, no
+	// workers → degraded). The store marks a claimed job running before
+	// runJobDispatch admits it, so the job's state alone can be read inside
+	// that window.
 	deadline := time.Now().Add(10 * time.Second)
-	for f.job(t, job.ID).State == store.Queued && time.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
+		if _, dispatching := f.svc.disp.health(); dispatching > 0 {
+			break
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	h := getHealthz(t, f)
