@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"sort"
 
 	"iotmpc/internal/minicast"
@@ -47,11 +49,17 @@ type Bootstrap struct {
 
 // Probing constants. More probes sharpen the estimates at bootstrap cost;
 // these mirror the short commissioning phase a real deployment would run.
+// Probes run as lanes of one minicast.RunLanes call, each on its own RNG
+// stream, so both probe counts must stay within phy.MaxLanes.
 const (
 	probesPerNTX     = 24
 	probesForDests   = 24
 	ntxSearchCeiling = 6 // multiple of (diameter+1) before giving up
 	minReliability   = 0.85
+	// ntxProbeLead is the first lane group of an NTX value's probes; the
+	// other probesPerNTX-ntxProbeLead run only if all of these reach full
+	// coverage, so an NTX that fails early does not pay for every probe.
+	ntxProbeLead = 4
 )
 
 // RunBootstrap executes the bootstrapping phase for the configuration.
@@ -158,33 +166,26 @@ func probeItems(n int) []minicast.Item {
 // typically run at N well above the minimum that floods the testbed). S4's
 // entire design is about not needing this margin.
 func (b *Bootstrap) deriveNTXFull() error {
-	n := b.Channel.NumNodes()
-	items := probeItems(n)
+	cfg := minicast.Config{
+		Channel:      b.Channel,
+		Initiator:    b.cfg.Initiator,
+		Items:        probeItems(b.Channel.NumNodes()),
+		PayloadBytes: sumPayloadBytes(b.cfg.effVectorLen()),
+	}
 	ceiling := ntxSearchCeiling * (b.Diameter + 1)
-	// Each probe's result is folded immediately, so one arena serves the
-	// whole search, reset between probes.
+	// Each probe group's result is folded immediately, so one arena serves
+	// the whole search, reset between groups.
 	var arena sim.Arena
 	for ntx := b.Diameter; ntx <= ceiling; ntx++ {
-		allFull := true
-		for probe := 0; probe < probesPerNTX; probe++ {
-			rng := sim.NewRNG(b.cfg.ChannelSeed, uint64(0x0B00+ntx*1000+probe))
-			arena.Reset()
-			res, err := minicast.RunArena(minicast.Config{
-				Channel:      b.Channel,
-				Initiator:    b.cfg.Initiator,
-				NTX:          ntx,
-				Items:        items,
-				PayloadBytes: sumPayloadBytes(b.cfg.effVectorLen()),
-			}, rng, nil, nil, &arena)
-			if err != nil {
-				return err
-			}
-			if res.MeanCoverage() < 1 {
-				allFull = false
-				break
-			}
+		cfg.NTX = ntx
+		full, err := b.probesFull(cfg, 0, ntxProbeLead, &arena)
+		if err == nil && full {
+			full, err = b.probesFull(cfg, ntxProbeLead, probesPerNTX, &arena)
 		}
-		if allFull {
+		if err != nil {
+			return err
+		}
+		if full {
 			b.NTXFull = 2*ntx + 2
 			return nil
 		}
@@ -192,38 +193,47 @@ func (b *Bootstrap) deriveNTXFull() error {
 	return fmt.Errorf("%w: no full-coverage NTX found below %d", ErrBootstrap, ceiling)
 }
 
+// probesFull runs NTX-search probes [from, to) of cfg.NTX as lanes of one
+// chain and reports whether every one reached full all-to-all coverage.
+// Probe p draws from its own stream, seeded 0x0B00+NTX·1000+p.
+func (b *Bootstrap) probesFull(cfg minicast.Config, from, to int, arena *sim.Arena) (bool, error) {
+	rngs := make([]*rand.Rand, to-from)
+	for l := range rngs {
+		rngs[l] = sim.NewRNG(b.cfg.ChannelSeed, uint64(0x0B00+cfg.NTX*1000+from+l))
+	}
+	arena.Reset()
+	res, err := minicast.RunLanes(cfg, len(rngs), rngs, nil, arena)
+	if err != nil {
+		return false, err
+	}
+	all := ^uint64(0) >> (64 - len(rngs))
+	for _, m := range res.HaveMask {
+		if m != all {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // deriveDests measures, at the low sharing NTX, how reliably each node
 // receives data originating at each source, and keeps the degree+1+slack
-// nodes whose worst-source reliability is highest.
+// nodes whose worst-source reliability is highest. The probes run as the
+// lanes of one chain; probe p draws from its own stream, seeded 0xDE57+p.
 func (b *Bootstrap) deriveDests() error {
 	n := b.Channel.NumNodes()
-	items := probeItems(n)
-	// delivered[src][node] counts probe rounds where node got src's item.
-	delivered := make([][]int, n)
-	for i := range delivered {
-		delivered[i] = make([]int, n)
+	rngs := make([]*rand.Rand, probesForDests)
+	for p := range rngs {
+		rngs[p] = sim.NewRNG(b.cfg.ChannelSeed, uint64(0xDE57+p))
 	}
-	var arena sim.Arena
-	for probe := 0; probe < probesForDests; probe++ {
-		rng := sim.NewRNG(b.cfg.ChannelSeed, uint64(0xDE57+probe))
-		arena.Reset()
-		res, err := minicast.RunArena(minicast.Config{
-			Channel:      b.Channel,
-			Initiator:    b.cfg.Initiator,
-			NTX:          b.cfg.NTXSharing,
-			Items:        items,
-			PayloadBytes: sharePayloadBytes(b.cfg.effVectorLen()),
-		}, rng, nil, nil, &arena)
-		if err != nil {
-			return err
-		}
-		for src := 0; src < n; src++ {
-			for node := 0; node < n; node++ {
-				if res.Have[node][src] {
-					delivered[src][node]++
-				}
-			}
-		}
+	res, err := minicast.RunLanes(minicast.Config{
+		Channel:      b.Channel,
+		Initiator:    b.cfg.Initiator,
+		NTX:          b.cfg.NTXSharing,
+		Items:        probeItems(n),
+		PayloadBytes: sharePayloadBytes(b.cfg.effVectorLen()),
+	}, probesForDests, rngs, nil, nil)
+	if err != nil {
+		return err
 	}
 
 	type cand struct {
@@ -234,7 +244,9 @@ func (b *Bootstrap) deriveDests() error {
 	for node := 0; node < n; node++ {
 		worst := 1.0
 		for _, src := range b.cfg.Sources {
-			rel := float64(delivered[src][node]) / probesForDests
+			// Item src is node src's; its lane mask at node counts the
+			// probes that delivered it there.
+			rel := float64(bits.OnesCount64(res.Have(node, src))) / probesForDests
 			if src == node {
 				rel = 1 // a source trivially "delivers" to itself
 			}

@@ -2,6 +2,7 @@ package minicast
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -76,6 +77,7 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 		return nil, err
 	}
 	burstProb := params.InterferenceBurstProb
+	failed := cfg.Failed
 	table := ch.LinkTable()
 	threshold := cfg.LevelThreshold
 	if threshold == 0 {
@@ -120,8 +122,17 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 	jammedMask := a.Uint64s(n)
 	txs := a.Ints(n)
 	txLanes := a.Uint64s(n)
+	lacking := lackingCounts(cfg, n, a)
 	stopped := a.Bools(n) // all false: StopListen is unsupported here
 	txElig := a.Ints(n)   // per-lane scratch for creditPhase
+	// fullElig[node] and laneElig[node*L+l] split a level node's transmit-
+	// eligible item count into items held in every lane and, per lane, the
+	// rest (radio accounting only).
+	var fullElig, laneElig []int
+	if ledgers != nil {
+		fullElig = a.Ints(n)
+		laneElig = a.Ints(n * L)
+	}
 
 	for wave := 0; wave < cfg.NTX; wave++ {
 		copy(relayMask, haveMask)
@@ -142,13 +153,18 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 			}
 			levelNodes := levels[ℓ]
 			for itemIdx := range cfg.Items {
+				// Every live node already holds the item in every lane: no
+				// receiver would draw.
+				if lacking[itemIdx] == 0 {
+					continue
+				}
 				// Transmitters in ascending node order (levels are built
 				// ascending) — order is load-bearing for trace union
 				// products.
 				ntx := 0
 				var union uint64
 				for _, node := range levelNodes {
-					if isFailed(cfg, node) {
+					if isFailed(failed, node) {
 						continue
 					}
 					if m := relayMask[node*cl+itemIdx]; m != 0 {
@@ -161,41 +177,55 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 				if union == 0 {
 					continue // nobody at this level can transmit in any lane
 				}
-				for rx := 0; rx < n; rx++ {
-					if isFailed(cfg, rx) {
+				for rx, k := 0, itemIdx; rx < n; rx, k = rx+1, k+cl {
+					if isFailed(failed, rx) {
 						continue
 					}
-					if listenable != nil && !listenable[rx*cl+itemIdx] {
+					if listenable != nil && !listenable[k] {
 						continue
 					}
-					act := allLanes &^ haveMask[rx*cl+itemIdx] &^ jammedMask[rx]
+					act := allLanes &^ haveMask[k] &^ jammedMask[rx]
 					if act == 0 {
 						continue
 					}
-					rcv := table.ReceiveConcurrentMask(rx, txs[:ntx], txLanes[:ntx], act, rngs)
-					haveMask[rx*cl+itemIdx] |= rcv
+					if rcv := table.ReceiveConcurrentMask(rx, txs[:ntx], txLanes[:ntx], act, rngs); rcv != 0 {
+						haveMask[k] |= rcv
+						if haveMask[k] == allLanes {
+							lacking[itemIdx]--
+						}
+					}
 				}
 			}
 
 			// Radio accounting for the phase, per lane: the transmit-
-			// eligible snapshot is exactly the wave-start relay mask.
+			// eligible snapshot is exactly the wave-start relay mask. Each
+			// level node's masks are counted once for all lanes: an
+			// all-lanes mask adds one to every lane, any other adds one per
+			// set bit.
 			if ledgers != nil {
+				for _, node := range levelNodes {
+					full := 0
+					perLane := laneElig[node*L : (node+1)*L]
+					clear(perLane)
+					for _, m := range relayMask[node*cl : (node+1)*cl] {
+						if m == allLanes {
+							full++
+							continue
+						}
+						for ; m != 0; m &= m - 1 {
+							perLane[bits.TrailingZeros64(m)]++
+						}
+					}
+					fullElig[node] = full
+				}
 				for l := 0; l < L; l++ {
 					if ledgers[l] == nil {
 						continue
 					}
-					bit := uint64(1) << l
 					for _, node := range levelNodes {
-						cnt := 0
-						row := relayMask[node*cl : (node+1)*cl]
-						for i := range row {
-							if row[i]&bit != 0 {
-								cnt++
-							}
-						}
-						txElig[node] = cnt
+						txElig[node] = fullElig[node] + laneElig[node*L+l]
 					}
-					if err := creditPhase(ledgers[l], cfg, levelOf, ℓ, txElig,
+					if err := creditPhase(ledgers[l], failed, levelOf, ℓ, txElig,
 						listenSlots, stopped, slotLen, cl); err != nil {
 						return nil, err
 					}

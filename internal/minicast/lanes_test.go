@@ -92,9 +92,9 @@ func assertLanesMatchScalar(t *testing.T, cfg Config, lanes int) {
 						l, node, item, got.Have(node, item)&bit != 0, want.Have[node][item])
 				}
 			}
-			if ledgers[l].OnTime(node) != wantLedger.OnTime(node) {
-				t.Fatalf("lane %d node %d: radio credit %v != scalar %v",
-					l, node, ledgers[l].OnTime(node), wantLedger.OnTime(node))
+			if ledgers[l].TxTime(node) != wantLedger.TxTime(node) || ledgers[l].RxTime(node) != wantLedger.RxTime(node) {
+				t.Fatalf("lane %d node %d: radio credit tx %v rx %v != scalar tx %v rx %v", l, node,
+					ledgers[l].TxTime(node), ledgers[l].RxTime(node), wantLedger.TxTime(node), wantLedger.RxTime(node))
 			}
 		}
 		if scalarRNG[l].Int63() != laneRNG[l].Int63() {
@@ -159,6 +159,40 @@ func TestMinicastRunLanesListenFilter(t *testing.T) {
 		ListenFilter: func(node int, it Item) bool { return it.Dst == -1 || it.Dst == node },
 	}
 	assertLanesMatchScalar(t, cfg, 8)
+}
+
+// TestMinicastRunLanesPastFullCoverage runs the chain at S3's sizing,
+// NTX = 2×diameter+2, well past full coverage, with crashed nodes (one an
+// owner) and a pure destination filter. Broadcast items reach every live
+// node in every lane early, so the later waves take the item-skip path.
+func TestMinicastRunLanesPastFullCoverage(t *testing.T) {
+	for name, radio := range laneRadios(t) {
+		t.Run(name, func(t *testing.T) {
+			n := radio.NumNodes()
+			diam, _, err := phy.Diameter(radio, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := make([]bool, n)
+			failed[5], failed[18] = true, true
+			items := allToAllItems(n)
+			for src := 0; src < n; src += 3 {
+				items = append(items, Item{Owner: src, Dst: (src + 4) % n})
+			}
+			cfg := Config{
+				Channel:      radio,
+				Initiator:    0,
+				NTX:          2*diam + 2,
+				Items:        items,
+				PayloadBytes: 16,
+				Failed:       failed,
+				ListenFilter: func(node int, it Item) bool { return it.Dst == -1 || it.Dst == node },
+			}
+			for _, lanes := range []int{1, 24, 64} {
+				assertLanesMatchScalar(t, cfg, lanes)
+			}
+		})
+	}
 }
 
 // TestMinicastRunLanesRejectsStopListen: duty-cycle predicates make the

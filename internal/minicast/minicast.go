@@ -112,6 +112,9 @@ type Result struct {
 	RxAt [][]time.Duration
 	// StoppedAt[node] is when StopListen fired for the node (-1: never).
 	StoppedAt []time.Duration
+	// Failed is the round's crash mask, Config.Failed as given (nil: no
+	// failures).
+	Failed []bool
 	// Waves, Levels and ChainLen describe the executed schedule.
 	Waves    int
 	Levels   int
@@ -132,7 +135,7 @@ func (r *Result) CoverageOf(item int) float64 {
 	}
 	got, eligible := 0, 0
 	for node := 0; node < n; node++ {
-		if r.RxAt[node][item] == 0 { // owner
+		if r.RxAt[node][item] == 0 || isFailed(r.Failed, node) { // owner or crashed
 			continue
 		}
 		eligible++
@@ -186,6 +189,7 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 		return nil, err
 	}
 	burstProb := params.InterferenceBurstProb // invariant for the whole round
+	failed := cfg.Failed
 	table := ch.LinkTable()
 	threshold := cfg.LevelThreshold
 	if threshold == 0 {
@@ -197,7 +201,8 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 	phaseLen := time.Duration(chainLen) * slotLen
 
 	// The two n×chainLen result matrices and the wave tracker share one
-	// flat backing each, sliced into rows: three allocations instead of 3n.
+	// flat backing each; the result rows slice the first two. The chain
+	// loop indexes the flat backings directly (entry node*chainLen+item).
 	// All borrows go through the arena, whose getters fall back to plain
 	// make() on a nil receiver — one allocation path for both modes.
 	haveFlat := a.Bools(n * chainLen)
@@ -205,11 +210,9 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 	rxFlat := a.Durations(n * chainLen)
 	rxAt := a.DurationRows(n)
 	waveFlat := a.Int32s(n * chainLen)
-	rxWave := a.Int32Rows(n)
 	for node := 0; node < n; node++ {
 		have[node] = haveFlat[node*chainLen : (node+1)*chainLen]
 		rxAt[node] = rxFlat[node*chainLen : (node+1)*chainLen]
-		rxWave[node] = waveFlat[node*chainLen : (node+1)*chainLen]
 	}
 	stoppedAt := a.Durations(n)
 
@@ -217,6 +220,7 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 		Have:      have,
 		RxAt:      rxAt,
 		StoppedAt: stoppedAt,
+		Failed:    failed,
 		Waves:     cfg.NTX,
 		Levels:    numLevels,
 		ChainLen:  chainLen,
@@ -224,31 +228,25 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 		PhaseLen:  phaseLen,
 		Duration:  time.Duration(cfg.NTX) * time.Duration(numLevels) * phaseLen,
 	}
-	for node := 0; node < n; node++ {
-		for i := range res.RxAt[node] {
-			res.RxAt[node][i] = -1
-		}
-		res.StoppedAt[node] = -1
-	}
-	// Owners hold their items from the start (failed owners hold them too,
-	// but will never transmit).
-	for i, it := range cfg.Items {
-		res.Have[it.Owner][i] = true
-		res.RxAt[it.Owner][i] = 0
-	}
-
-	// rxWave[node][item] is the wave in which the node obtained the item;
-	// an item received in wave w is relayed from wave w+1 on (a node fills a
-	// chain sub-slot only with data it held when its transmission turn came,
-	// so data moves at most one hop per wave). Owners hold from wave -1.
+	// waveFlat[node*chainLen+item] is the wave in which the node obtained
+	// the item; an item received in wave w is relayed from wave w+1 on (a
+	// node fills a chain sub-slot only with data it held when its
+	// transmission turn came, so data moves at most one hop per wave).
+	// Owners hold their items from the start, wave -1 (failed owners hold
+	// them too, but will never transmit).
 	notHeld := int32(cfg.NTX) + 1 // sentinel: not held
-	for node := 0; node < n; node++ {
-		for i := range rxWave[node] {
-			rxWave[node][i] = notHeld
-		}
+	for k := range rxFlat {
+		rxFlat[k] = -1
+		waveFlat[k] = notHeld
+	}
+	for node := range stoppedAt {
+		stoppedAt[node] = -1
 	}
 	for i, it := range cfg.Items {
-		rxWave[it.Owner][i] = -1
+		k := it.Owner*chainLen + i
+		haveFlat[k] = true
+		rxFlat[k] = 0
+		waveFlat[k] = -1
 	}
 
 	// holdersAtLevel[ℓ][item] counts level-ℓ nodes holding the item; lets a
@@ -263,6 +261,7 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 			holdersAtLevel[ℓ][i]++
 		}
 	}
+	lacking := lackingCounts(cfg, n, a)
 	// listenSlots[node] counts sub-slots the node's filter admits.
 	listenSlots := a.Ints(n)
 	for node := 0; node < n; node++ {
@@ -277,7 +276,9 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 		}
 	}
 	stopped := a.Bools(n)
-	jammed := a.Bools(n)
+	// deaf[node] marks, per phase, a node that cannot receive at all:
+	// stopped, jammed by an interference burst, or failed.
+	deaf := a.Bools(n)
 	// txEligible[node] snapshots, per phase, how many items a level node may
 	// transmit (for radio accounting); written for every level node before
 	// creditPhase reads it, so no per-phase clearing is needed.
@@ -285,46 +286,60 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 
 	txers := a.Ints(n)[:0]
 	for wave := 0; wave < cfg.NTX; wave++ {
+		w := int32(wave)
 		for ℓ := 0; ℓ < numLevels; ℓ++ {
 			phaseStart := (time.Duration(wave)*time.Duration(numLevels) + time.Duration(ℓ)) * phaseLen
 
-			// Evaluate stop predicates at phase boundaries.
+			// Evaluate stop predicates at phase boundaries. A stopped node
+			// never listens again, so it leaves every item's lacking count.
 			if cfg.StopListen != nil {
 				for node := 0; node < n; node++ {
-					if stopped[node] || isFailed(cfg, node) {
+					if stopped[node] || isFailed(failed, node) {
 						continue
 					}
-					if cfg.StopListen(node, res.Have[node]) {
+					if cfg.StopListen(node, have[node]) {
 						stopped[node] = true
-						res.StoppedAt[node] = phaseStart
+						stoppedAt[node] = phaseStart
+						for i, h := range have[node] {
+							if !h {
+								lacking[i]--
+							}
+						}
 					}
 				}
 			}
 
-			// Ambient interference bursts block whole phases per node.
+			// Ambient interference bursts block whole phases per node; every
+			// node draws, whatever its state.
 			for node := 0; node < n; node++ {
-				jammed[node] = burstProb > 0 && rng.Float64() < burstProb
+				jammed := burstProb > 0 && rng.Float64() < burstProb
+				deaf[node] = jammed || stopped[node] || isFailed(failed, node)
 			}
 
 			levelNodes := levels[ℓ]
 			// Snapshot per-node transmit-eligible item counts before the
 			// phase mutates holdings (for radio accounting).
-			for _, node := range levelNodes {
-				count := 0
-				for i := range cfg.Items {
-					if rxWave[node][i] < int32(wave) {
-						count++
+			if ledger != nil {
+				for _, node := range levelNodes {
+					count := 0
+					for _, rw := range waveFlat[node*chainLen : (node+1)*chainLen] {
+						if rw < w {
+							count++
+						}
 					}
+					txEligible[node] = count
 				}
-				txEligible[node] = count
 			}
 			for itemIdx, it := range cfg.Items {
-				if holdersAtLevel[ℓ][itemIdx] == 0 {
-					continue // nobody at this level can transmit the item
+				// Skip sub-slots nobody at this level can transmit, and
+				// sub-slots no node can still receive: every receiver would
+				// pass without a draw.
+				if holdersAtLevel[ℓ][itemIdx] == 0 || lacking[itemIdx] == 0 {
+					continue
 				}
 				txers = txers[:0]
 				for _, node := range levelNodes {
-					if rxWave[node][itemIdx] < int32(wave) && !isFailed(cfg, node) {
+					if waveFlat[node*chainLen+itemIdx] < w && !isFailed(failed, node) {
 						txers = append(txers, node)
 					}
 				}
@@ -332,8 +347,8 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 					continue
 				}
 				rxTime := phaseStart + time.Duration(itemIdx+1)*slotLen
-				for rx := 0; rx < n; rx++ {
-					if res.Have[rx][itemIdx] || stopped[rx] || jammed[rx] || isFailed(cfg, rx) {
+				for rx, k := 0, itemIdx; rx < n; rx, k = rx+1, k+chainLen {
+					if haveFlat[k] || deaf[rx] {
 						continue
 					}
 					if cfg.ListenFilter != nil && !cfg.ListenFilter(rx, it) {
@@ -343,9 +358,10 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 					if !table.ReceiveConcurrentFast(rx, txers, rng) {
 						continue
 					}
-					res.Have[rx][itemIdx] = true
-					res.RxAt[rx][itemIdx] = rxTime
-					rxWave[rx][itemIdx] = int32(wave)
+					haveFlat[k] = true
+					rxFlat[k] = rxTime
+					waveFlat[k] = w
+					lacking[itemIdx]--
 					if lv := levelOf[rx]; lv >= 0 {
 						holdersAtLevel[lv][itemIdx]++
 					}
@@ -354,7 +370,7 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 
 			// Radio accounting for the phase.
 			if ledger != nil {
-				if err := creditPhase(ledger, cfg, levelOf, ℓ, txEligible, listenSlots, stopped, slotLen, chainLen); err != nil {
+				if err := creditPhase(ledger, failed, levelOf, ℓ, txEligible, listenSlots, stopped, slotLen, chainLen); err != nil {
 					return nil, err
 				}
 			}
@@ -369,18 +385,40 @@ func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.E
 	return res, nil
 }
 
-func isFailed(cfg Config, node int) bool {
-	return cfg.Failed != nil && cfg.Failed[node]
+func isFailed(failed []bool, node int) bool {
+	return failed != nil && failed[node]
+}
+
+// lackingCounts returns, per item, the number of live nodes that do not
+// hold it at round start (every live node but a live owner). The chain
+// kernels decrement an item's count as nodes obtain it (in every lane, for
+// RunLanes) or stop listening; at zero no receiver would draw for the item,
+// so its sub-slots are skipped before their transmitter lists are built.
+func lackingCounts(cfg Config, n int, a *sim.Arena) []int {
+	live := n
+	for _, f := range cfg.Failed {
+		if f {
+			live--
+		}
+	}
+	lacking := a.Ints(len(cfg.Items))
+	for i, it := range cfg.Items {
+		lacking[i] = live
+		if !isFailed(cfg.Failed, it.Owner) {
+			lacking[i]--
+		}
+	}
+	return lacking
 }
 
 // creditPhase charges each node's radio for one phase: transmitting nodes pay
 // tx for the sub-slots they fill and rx for the remainder (they listen for
 // items they lack); listening nodes pay rx for the sub-slots their filter
 // admits; stopped and failed nodes pay nothing beyond their own tx duties.
-func creditPhase(ledger *sim.RadioLedger, cfg Config, levelOf []int, phase int,
+func creditPhase(ledger *sim.RadioLedger, failed []bool, levelOf []int, phase int,
 	txEligible []int, listenSlots []int, stopped []bool, slotLen time.Duration, chainLen int) error {
 	for node := range levelOf {
-		if isFailed(cfg, node) {
+		if isFailed(failed, node) {
 			continue
 		}
 		var txSlots, rxSlots int

@@ -272,6 +272,40 @@ func TestFailedNodesNeitherSendNorReceive(t *testing.T) {
 	}
 }
 
+// TestCoverageOfSkipsFailedNodes: a crashed node can never receive, so it
+// is not counted as a miss. Once every live node holds a live owner's item,
+// that item's coverage is exactly 1.
+func TestCoverageOfSkipsFailedNodes(t *testing.T) {
+	ch := flockChannel(t)
+	n := ch.NumNodes()
+	failed := make([]bool, n)
+	failed[3] = true
+	cfg := Config{
+		Channel:      ch,
+		Initiator:    0,
+		NTX:          20,
+		Items:        allToAllItems(n),
+		PayloadBytes: 20,
+		Failed:       failed,
+	}
+	res, err := Run(cfg, rand.New(rand.NewSource(6)), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const owner = 7
+	for node := 0; node < n; node++ {
+		if !failed[node] && !res.Have[node][owner] {
+			t.Fatalf("live node %d lacks item %d at NTX %d", node, owner, cfg.NTX)
+		}
+	}
+	if res.Have[3][owner] {
+		t.Fatal("failed node received an item")
+	}
+	if cov := res.CoverageOf(owner); cov != 1 {
+		t.Errorf("CoverageOf(%d) = %v with every live node holding it, want 1", owner, cov)
+	}
+}
+
 func TestRadioAccounting(t *testing.T) {
 	ch := flockChannel(t)
 	n := ch.NumNodes()

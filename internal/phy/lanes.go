@@ -57,37 +57,43 @@ func (t *LinkTable) ReceiveConcurrentMask(rx int, txs []int, txLanes []uint64, a
 	case tableLogDistance:
 		// Every eligible lane draws (beating only at >= 2 transmitters,
 		// then fading, then the sigmoid), so the lanes are walked one by
-		// one; the transmitter scan per lane mirrors the scalar loop.
+		// one. Lanes in which every candidate transmits share one
+		// transmitter set — the whole list — whose count and best RSSI are
+		// computed once; the other lanes scan the list as the scalar loop
+		// does.
 		rssiRow := t.rssi[rx*n : (rx+1)*n]
+		shared := elig
+		for _, m := range txLanes {
+			shared &= m
+		}
+		sharedBest := math.Inf(-1)
+		if shared != 0 { // rx is not in the list: its lanes are not eligible
+			for _, tx := range txs {
+				if r := rssiRow[tx]; r > sharedBest {
+					sharedBest = r
+				}
+			}
+		}
 		for need := elig; need != 0; {
 			l := bits.TrailingZeros64(need)
 			bit := uint64(1) << l
 			need &^= bit
-			rng := rngs[l]
-			count := 0
-			best := math.Inf(-1)
-			for i := range txs {
-				// rx itself cannot carry this bit: self lanes are not
-				// eligible.
-				if txLanes[i]&bit == 0 {
-					continue
+			count, best := len(txs), sharedBest
+			if shared&bit == 0 {
+				count, best = 0, math.Inf(-1)
+				for i := range txs {
+					// rx itself cannot carry this bit: self lanes are not
+					// eligible.
+					if txLanes[i]&bit == 0 {
+						continue
+					}
+					count++
+					if r := rssiRow[txs[i]]; r > best {
+						best = r
+					}
 				}
-				count++
-				if r := rssiRow[txs[i]]; r > best {
-					best = r
-				}
 			}
-			if count >= 2 && rng.Float64() < t.ctBeatingLoss {
-				continue // beating corrupted the superposition
-			}
-			var log2Count float64
-			if count < len(t.log2) {
-				log2Count = t.log2[count]
-			} else { // defensive: a caller-supplied list with duplicates
-				log2Count = math.Log2(float64(count))
-			}
-			faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
-			if rng.Float64() < t.prrFromRSSI(faded) {
+			if t.drawLogDistance(count, best, rngs[l]) {
 				out |= bit
 			}
 		}

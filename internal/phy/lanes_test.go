@@ -68,11 +68,22 @@ func laneTables(t testing.TB) map[string]*phy.LinkTable {
 	}
 }
 
+// laneMask draws a transmitter's lane mask: all lanes half the time, so
+// lanes in which every candidate transmits (the log-distance kernel's
+// shared-set path) are common, and random lanes otherwise.
+func laneMask(pick *rand.Rand) uint64 {
+	if pick.Intn(2) == 0 {
+		return ^uint64(0)
+	}
+	return pick.Uint64()
+}
+
 // TestReceiveConcurrentMaskMatchesScalar pins the bit-sliced kernel to its
 // per-lane contract: bit l of the mask equals ReceiveConcurrentFast on lane
 // l's transmitter subset, with identical RNG consumption on lane l's private
-// stream — checked over thousands of random transmitter sets and lane masks,
-// then sealed with a follow-up draw on every lane.
+// stream — checked over thousands of random transmitter sets and lane masks
+// (with rx itself and duplicated transmitters in some lists), then sealed
+// with a follow-up draw on every lane.
 func TestReceiveConcurrentMaskMatchesScalar(t *testing.T) {
 	for name, table := range laneTables(t) {
 		t.Run(name, func(t *testing.T) {
@@ -92,10 +103,16 @@ func TestReceiveConcurrentMaskMatchesScalar(t *testing.T) {
 				rx := pick.Intn(n)
 				txs, txLanes = txs[:0], txLanes[:0]
 				for node := 0; node < n; node++ {
-					if pick.Intn(n) < 3 {
+					// rx joins some lists, so self lanes occur.
+					if pick.Intn(n) < 3 || (node == rx && pick.Intn(8) == 0) {
 						txs = append(txs, node)
-						txLanes = append(txLanes, pick.Uint64())
+						txLanes = append(txLanes, laneMask(pick))
 					}
+				}
+				if len(txs) > 0 && pick.Intn(8) == 0 { // a duplicated transmitter
+					i := pick.Intn(len(txs))
+					txs = append(txs, txs[i])
+					txLanes = append(txLanes, laneMask(pick))
 				}
 				active := pick.Uint64()
 				got := table.ReceiveConcurrentMask(rx, txs, txLanes, active, laneRNG)

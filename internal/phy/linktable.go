@@ -156,6 +156,23 @@ func (t *LinkTable) prrFromRSSI(rssi float64) float64 {
 	return 1 / (1 + math.Exp(-(rssi-t.prrMidpointDBm)/t.prrWidthDB))
 }
 
+// drawLogDistance is the log-distance reception draw for count concurrent
+// transmitters whose strongest mean RSSI at the receiver is best: a beating
+// draw (at >= 2 transmitters), a fading draw, then the RSSI→PRR sigmoid.
+func (t *LinkTable) drawLogDistance(count int, best float64, rng *rand.Rand) bool {
+	if count >= 2 && rng.Float64() < t.ctBeatingLoss {
+		return false // beating corrupted the superposition
+	}
+	var log2Count float64
+	if count < len(t.log2) {
+		log2Count = t.log2[count]
+	} else { // defensive: a caller-supplied list with duplicates
+		log2Count = math.Log2(float64(count))
+	}
+	faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
+	return rng.Float64() < t.prrFromRSSI(faded)
+}
+
 // ReceiveConcurrentFast draws one reception attempt at rx when every node
 // in transmitters sends the same packet in the same synchronized slot. It
 // is draw-for-draw identical to the snapshotted backend's
@@ -178,17 +195,7 @@ func (t *LinkTable) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.
 				best = r
 			}
 		}
-		if len(transmitters) >= 2 && rng.Float64() < t.ctBeatingLoss {
-			return false // beating corrupted the superposition
-		}
-		var log2Count float64
-		if len(transmitters) < len(t.log2) {
-			log2Count = t.log2[len(transmitters)]
-		} else { // defensive: a caller-supplied list with duplicates
-			log2Count = math.Log2(float64(len(transmitters)))
-		}
-		faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
-		return rng.Float64() < t.prrFromRSSI(faded)
+		return t.drawLogDistance(len(transmitters), best, rng)
 	case tableBestPRR:
 		best := 0.0
 		for _, tx := range transmitters {
