@@ -36,9 +36,6 @@
 // or with curl:
 //
 //	curl -d '{"nodeCounts":[15,25],"iterations":50,"seed":1}' localhost:8080/v1/jobs
-//
-// The pre-v1 unversioned paths (/jobs, /healthz, ...) remain as deprecated
-// aliases for one release.
 package main
 
 import (

@@ -183,7 +183,7 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	base := "http://" + addr
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if resp, err := http.Get(base + "/healthz"); err == nil {
+		if resp, err := http.Get(base + "/v1/healthz"); err == nil {
 			resp.Body.Close()
 			break
 		}
@@ -193,7 +193,7 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	resp, err := http.Post(base+"/jobs", "application/json",
+	resp, err := http.Post(base+"/v1/jobs", "application/json",
 		strings.NewReader(`{"nodeCounts":[8],"lossRates":[0.0],"iterations":1,"seed":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 	}
 	resp.Body.Close()
 	for {
-		resp, err := http.Get(fmt.Sprintf("%s/jobs/%s", base, job.ID))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s", base, job.ID))
 		if err != nil {
 			t.Fatal(err)
 		}

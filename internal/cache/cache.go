@@ -178,8 +178,8 @@ func (s *Store) Put(key string, v any) error {
 // Stats summarizes the store's on-disk footprint: how many entries it
 // holds, how many bytes they occupy, and how many orphaned Put temp files a
 // crashed writer has left behind (the ones a future Open will sweep once
-// they age past staleTempAge). Surfaced by the sweep service's /healthz and
-// the experiments CLI's -stats flag.
+// they age past staleTempAge). Surfaced by the sweep service's /v1/healthz
+// and the experiments CLI's -stats flag.
 type Stats struct {
 	Entries       int   `json:"entries"`
 	TotalBytes    int64 `json:"totalBytes"`

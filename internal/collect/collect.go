@@ -104,7 +104,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: nil channel", ErrBadConfig)
 	case c.Tree == nil:
 		return fmt.Errorf("%w: nil tree", ErrBadConfig)
-	case len(c.Tree.Parent) != c.Channel.NumNodes():
+	case len(c.Tree.Parent) != c.Channel.NumNodes() || len(c.Tree.Depth) != len(c.Tree.Parent):
 		return fmt.Errorf("%w: tree size mismatch", ErrBadConfig)
 	case c.MessageBytes <= 0:
 		return fmt.Errorf("%w: message bytes %d", ErrBadConfig, c.MessageBytes)
@@ -112,6 +112,26 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: retries %d", ErrBadConfig, c.MaxRetries)
 	case c.Participants != nil && len(c.Participants) != c.Channel.NumNodes():
 		return fmt.Errorf("%w: participants size mismatch", ErrBadConfig)
+	}
+	return c.Tree.validate()
+}
+
+// validate checks that the tree is rooted at an in-range sink and that
+// every other node hangs one level below an in-range parent. The depth
+// rule rules out cycles, so the delivery walk toward the sink terminates.
+func (t *Tree) validate() error {
+	n := len(t.Parent)
+	if t.Sink < 0 || t.Sink >= n || t.Parent[t.Sink] != -1 || t.Depth[t.Sink] != 0 {
+		return fmt.Errorf("%w: sink %d is not a tree root", ErrBadConfig, t.Sink)
+	}
+	for node, parent := range t.Parent {
+		if node == t.Sink {
+			continue
+		}
+		if parent < 0 || parent >= n || t.Depth[node] != t.Depth[parent]+1 {
+			return fmt.Errorf("%w: node %d has parent %d at depth %d",
+				ErrBadConfig, node, parent, t.Depth[node])
+		}
 	}
 	return nil
 }
@@ -155,6 +175,7 @@ func Run(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.Engine
 	}
 	ch := cfg.Channel
 	n := ch.NumNodes()
+	table := ch.LinkTable()
 	tree := cfg.Tree
 	maxRetries := cfg.MaxRetries
 	if maxRetries == 0 {
@@ -223,20 +244,12 @@ func Run(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.Engine
 						return nil, err
 					}
 				}
-				ok, err := ch.ReceiveSingle(node, parent, rng)
-				if err != nil {
-					return nil, err
-				}
 				// The ACK travels over the same link; fold its loss in.
-				if ok {
-					ackOK, err := ch.ReceiveSingle(parent, node, rng)
-					if err != nil {
-						return nil, err
-					}
+				if table.ReceiveSingle(node, parent, rng) {
 					// A lost ACK causes a redundant retry but the data is
 					// through; treat the frame as delivered.
 					frameOK = true
-					if ackOK {
+					if table.ReceiveSingle(parent, node, rng) {
 						break
 					}
 					continue

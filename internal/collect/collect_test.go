@@ -2,8 +2,10 @@ package collect
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"iotmpc/internal/field"
 	"iotmpc/internal/phy"
@@ -11,7 +13,7 @@ import (
 	"iotmpc/internal/topology"
 )
 
-func flockChannel(t *testing.T) *phy.Channel {
+func flockChannel(t *testing.T) *phy.LogDistance {
 	t.Helper()
 	ch, err := topology.FlockLab().Channel(phy.DefaultParams(), 1)
 	if err != nil {
@@ -109,7 +111,7 @@ func TestAncestorFailureDropsSubtree(t *testing.T) {
 	p.ShadowingSigmaDB = 0
 	p.FadingSigmaDB = 0
 	// Node 1 is barely in range of 0 — force failures by distance.
-	ch, err := phy.NewChannel(p, []phy.Position{{X: 0}, {X: 95}, {X: 120}}, 1)
+	ch, err := phy.NewLogDistance(p, []phy.Position{{X: 0}, {X: 95}, {X: 120}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +196,59 @@ func TestConfigValidation(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Run(tt.cfg, rng, nil, nil); !errors.Is(err, ErrBadConfig) {
+				t.Errorf("error = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+}
+
+// TestRunRejectsMalformedTree hands Run hand-built trees over a 3-node
+// line (adjacent nodes in range). Each malformed one must be rejected with
+// ErrBadConfig; a cycle would otherwise spin the delivery walk forever and
+// an out-of-range index would panic, so every Run races a deadline and
+// recovers panics.
+func TestRunRejectsMalformedTree(t *testing.T) {
+	u, err := phy.NewUnitDisk(phy.IdealParams(), []phy.Position{{X: 0}, {X: 10}, {X: 20}}, 15, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tree *Tree) error {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			_, err := Run(Config{Channel: u, Tree: tree, MessageBytes: 8}, rand.New(rand.NewSource(1)), nil, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			return errors.New("Run did not return")
+		}
+	}
+	if err := run(&Tree{Sink: 0, Parent: []int{-1, 0, 1}, Depth: []int{0, 1, 2}}); err != nil {
+		t.Fatalf("valid tree: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		tree Tree
+	}{
+		{"cycle", Tree{Sink: 0, Parent: []int{-1, 2, 1}, Depth: []int{0, 1, 1}}},
+		{"sink out of range", Tree{Sink: 9, Parent: []int{-1, 0, 1}, Depth: []int{0, 1, 2}}},
+		{"negative sink", Tree{Sink: -1, Parent: []int{-1, 0, 1}, Depth: []int{0, 1, 2}}},
+		{"short depth", Tree{Sink: 0, Parent: []int{-1, 0, 1}, Depth: []int{0, 1}}},
+		{"parent out of range", Tree{Sink: 0, Parent: []int{-1, 7, 1}, Depth: []int{0, 1, 2}}},
+		{"orphan", Tree{Sink: 0, Parent: []int{-1, -1, 1}, Depth: []int{0, 1, 2}}},
+		{"sink has a parent", Tree{Sink: 0, Parent: []int{1, 0, 1}, Depth: []int{0, 1, 2}}},
+		{"sink not at depth 0", Tree{Sink: 0, Parent: []int{-1, 0, 1}, Depth: []int{1, 2, 3}}},
+		{"depth skips a level", Tree{Sink: 0, Parent: []int{-1, 0, 0}, Depth: []int{0, 1, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := run(&tc.tree); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("error = %v, want ErrBadConfig", err)
 			}
 		})

@@ -72,10 +72,7 @@ func RunBootstrap(cfg Config) (*Bootstrap, error) {
 	if err != nil {
 		return nil, err
 	}
-	diam, connected, err := phy.Diameter(ch, 0.5)
-	if err != nil {
-		return nil, err
-	}
+	diam, connected := ch.LinkTable().Diameter(0.5)
 	if !connected {
 		return nil, fmt.Errorf("%w: topology %q disconnected", ErrBootstrap, cfg.Topology.Name)
 	}

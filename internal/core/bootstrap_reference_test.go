@@ -26,10 +26,7 @@ func referenceBootstrap(cfg Config) (*Bootstrap, error) {
 	if err != nil {
 		return nil, err
 	}
-	diam, connected, err := phy.Diameter(ch, 0.5)
-	if err != nil {
-		return nil, err
-	}
+	diam, connected := ch.LinkTable().Diameter(0.5)
 	if !connected {
 		return nil, fmt.Errorf("%w: topology %q disconnected", ErrBootstrap, cfg.Topology.Name)
 	}
@@ -177,16 +174,12 @@ func traceOf(t testing.TB, top topology.Topology) phy.Factory {
 		t.Fatal(err)
 	}
 	n := top.NumNodes()
+	table := ch.LinkTable()
 	lt := &trace.LinkTrace{Name: top.Name, Nodes: n, PRR: make([][]float64, n)}
 	for tx := range lt.PRR {
 		lt.PRR[tx] = make([]float64, n)
 		for rx := range lt.PRR[tx] {
-			if tx == rx {
-				continue
-			}
-			if lt.PRR[tx][rx], err = ch.PRR(tx, rx); err != nil {
-				t.Fatal(err)
-			}
+			lt.PRR[tx][rx] = table.PRR(tx, rx)
 		}
 	}
 	return trace.Factory(lt)

@@ -159,12 +159,12 @@ func backendMatrix() Matrix {
 // and trace-replay cells — yields byte-identical ScenarioResults for 1 and N
 // workers.
 func TestRunMatrixBackendDeterministicAcrossWorkers(t *testing.T) {
-	sequential, err := RunMatrix(backendMatrix(), 1)
+	sequential, err := NewRunner(WithWorkers(1)).Run(backendMatrix())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		parallel, err := RunMatrix(backendMatrix(), workers)
+		parallel, err := NewRunner(WithWorkers(workers)).Run(backendMatrix())
 		if err != nil {
 			t.Fatal(err)
 		}

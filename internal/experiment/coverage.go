@@ -42,13 +42,13 @@ func CoverageCurve(testbed topology.Topology, ntxs []int, iterations int, seed i
 		total, full := 0.0, 0
 		for it := 0; it < iterations; it++ {
 			rng := sim.NewRNG(seed, uint64(0xC0F0+ntx*10000+it))
-			res, err := minicast.Run(minicast.Config{
+			res, err := minicast.RunArena(minicast.Config{
 				Channel:      ch,
 				Initiator:    0,
 				NTX:          ntx,
 				Items:        items,
 				PayloadBytes: 20,
-			}, rng, nil, nil)
+			}, rng, nil, nil, nil)
 			if err != nil {
 				return nil, err
 			}

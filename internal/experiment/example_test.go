@@ -9,7 +9,7 @@ import (
 
 // A Matrix declares a sweep as per-axis value lists; Scenarios expands the
 // cross product with a deterministic per-scenario seed. Feed the matrix to
-// RunMatrix to execute it across a worker pool.
+// a Runner to execute it across a worker pool.
 func ExampleMatrix_Scenarios() {
 	m := experiment.Matrix{
 		NodeCounts: []int{15, 30},

@@ -21,8 +21,6 @@ import (
 // for any worker count. With a cache directory configured, cells whose
 // content address is already stored are served without simulating anything,
 // which makes repeated and interrupted sweeps pay only for new work.
-//
-// RunMatrix remains as a thin compatibility wrapper over a sink-less Runner.
 type Runner struct {
 	workers      int
 	trialWorkers int
@@ -134,8 +132,7 @@ type Executor interface {
 func WithExecutor(ex Executor) Option { return func(r *Runner) { r.executor = ex } }
 
 // NewRunner builds a Runner from options. The zero configuration (no
-// options) is RunMatrix's historical behavior: GOMAXPROCS workers, no cache,
-// no sinks.
+// options) runs GOMAXPROCS workers with no cache and no sinks.
 func NewRunner(opts ...Option) *Runner {
 	r := &Runner{trialWorkers: 1, lanes: DefaultLaneCount, ctx: context.Background()}
 	for _, o := range opts {
@@ -729,13 +726,4 @@ func (r *Runner) RunScenarios(scenarios []Scenario) ([]ScenarioResult, error) {
 		}
 	}
 	return results[lo:hi], nil
-}
-
-// RunMatrix expands the matrix and fans the scenarios across a worker pool
-// (workers <= 0 selects GOMAXPROCS). It is the historical batch entry
-// point, kept as a thin wrapper over Runner: results land at their
-// scenario's index, so the output — down to the last float — is identical
-// for any worker count, including 1.
-func RunMatrix(m Matrix, workers int) ([]ScenarioResult, error) {
-	return NewRunner(WithWorkers(workers)).Run(m)
 }

@@ -146,12 +146,12 @@ func TestRunnerCacheColdThenWarm(t *testing.T) {
 	}
 
 	// An uncached run agrees too (cache must be value-transparent).
-	plain, err := RunMatrix(m, 0)
+	plain, err := NewRunner().Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, first) {
-		t.Fatal("cache-enabled run diverged from plain RunMatrix")
+		t.Fatal("cache-enabled run diverged from a plain run")
 	}
 }
 

@@ -124,7 +124,7 @@ type Scenario struct {
 // cross product. Nil axes select defaults, so the zero value plus NodeCounts
 // and Iterations is a runnable spec.
 //
-// The JSON encoding is the sweep service's wire format: POST /jobs accepts
+// The JSON encoding is the sweep service's wire format: POST /v1/jobs accepts
 // exactly these field names, and Validate reports violations against them so
 // API rejections point at the offending field.
 type Matrix struct {

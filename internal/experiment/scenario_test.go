@@ -184,12 +184,12 @@ func testMatrix() Matrix {
 func TestRunMatrixParallelMatchesSequential(t *testing.T) {
 	// The acceptance bar for the parallel engine: identical results — every
 	// float of every summary — for any worker count.
-	sequential, err := RunMatrix(testMatrix(), 1)
+	sequential, err := NewRunner(WithWorkers(1)).Run(testMatrix())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		parallel, err := RunMatrix(testMatrix(), workers)
+		parallel, err := NewRunner(WithWorkers(workers)).Run(testMatrix())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,11 +201,11 @@ func TestRunMatrixParallelMatchesSequential(t *testing.T) {
 }
 
 func TestRunMatrixRepeatable(t *testing.T) {
-	a, err := RunMatrix(testMatrix(), 0)
+	a, err := NewRunner().Run(testMatrix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMatrix(testMatrix(), 0)
+	b, err := NewRunner().Run(testMatrix())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestRunScenarioLossRateDegradesSuccess(t *testing.T) {
 }
 
 func TestMatrixRenderers(t *testing.T) {
-	results, err := RunMatrix(Matrix{
+	results, err := NewRunner().Run(Matrix{
 		NodeCounts: []int{10},
 		Protocols:  []core.Protocol{core.S4},
 		Iterations: 2,
 		Seed:       7,
-	}, 0)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestShardSpecValidate(t *testing.T) {
 // matrix manifest an unsharded run would have written.
 func TestShardedSweepByteIdenticalToUnsharded(t *testing.T) {
 	m := runnerMatrix()
-	baseline, err := RunMatrix(m, 0)
+	baseline, err := NewRunner().Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestShardKilledMidSweepResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := RunMatrix(m, 0)
+	baseline, err := NewRunner().Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestShardWorkStealingCoversLaggingShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := RunMatrix(m, 0)
+	baseline, err := NewRunner().Run(m)
 	if err != nil {
 		t.Fatal(err)
 	}

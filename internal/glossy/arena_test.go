@@ -46,8 +46,8 @@ func floodBackends(t *testing.T) map[string]phy.Radio {
 }
 
 // TestRunArenaMatchesRun pins the arena path bit-for-bit to the allocating
-// path, across backends and consecutive reused floods: same RNG stream in,
-// same Result out, and the two RNGs still aligned afterwards.
+// path (a nil arena), across backends and consecutive reused floods: same
+// RNG stream in, same Result out, and the two RNGs still aligned afterwards.
 func TestRunArenaMatchesRun(t *testing.T) {
 	for name, radio := range floodBackends(t) {
 		t.Run(name, func(t *testing.T) {
@@ -57,7 +57,7 @@ func TestRunArenaMatchesRun(t *testing.T) {
 			var arena sim.Arena
 			var reused *Result
 			for flood := 0; flood < 25; flood++ {
-				want, err := Run(cfg, plain, nil, nil)
+				want, err := RunArena(cfg, plain, nil, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func TestRunArenaMatchesRun(t *testing.T) {
 				}
 			}
 			if plain.Int63() != arenaRNG.Int63() {
-				t.Fatal("RNG streams diverged between Run and RunArena")
+				t.Fatal("RNG streams diverged between the allocating and arena paths")
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // variants are the warm hot path the scenario engine runs on — CI exports
 // both to BENCH_flood.json and gates the Arena variants at 0 allocs/op.
 
-func benchChannel(b *testing.B, tb topology.Topology) *phy.Channel {
+func benchChannel(b *testing.B, tb topology.Topology) *phy.LogDistance {
 	b.Helper()
 	ch, err := tb.Channel(phy.DefaultParams(), 1)
 	if err != nil {
@@ -30,7 +30,7 @@ func benchFlood(b *testing.B, tb topology.Topology) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, rng, nil, nil); err != nil {
+		if _, err := RunArena(cfg, rng, nil, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

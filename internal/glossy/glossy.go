@@ -96,20 +96,15 @@ func (r *Result) Coverage() float64 {
 
 func initiatorIndex(r *Result) int { return r.initiator }
 
-// Run executes one flood. The RNG drives fading and reception draws; the
-// ledger (optional) is credited with tx/rx time; the engine (optional) has
-// its clock advanced by the flood duration.
-func Run(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.Engine) (*Result, error) {
-	return RunArena(cfg, rng, ledger, engine, nil, nil)
-}
-
-// RunArena is Run with caller-managed buffer reuse: every scratch array and
-// Result backing slice is borrowed from the arena (nil: heap-allocate, as
-// Run always did), and res (nil: allocate one) is overwritten in place. The
-// returned Result aliases arena memory and is valid until the caller's next
-// a.Reset(); a warm flood — same arena, same res, Reset between floods —
-// performs zero heap allocations. Outcomes are bit-identical to Run for the
-// same RNG state: the arena changes where buffers live, never what is drawn.
+// RunArena executes one flood. The RNG drives fading and reception draws;
+// the ledger (optional) is credited with tx/rx time; the engine (optional)
+// has its clock advanced by the flood duration. Every scratch array and
+// Result backing slice is borrowed from the arena (nil: heap-allocate), and
+// res (nil: allocate one) is overwritten in place. The returned Result
+// aliases arena memory and is valid until the caller's next a.Reset(); a
+// warm flood — same arena, same res, Reset between floods — performs zero
+// heap allocations. The arena changes where buffers live, never what is
+// drawn: outcomes for the same RNG state do not depend on it.
 func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.Engine,
 	a *sim.Arena, res *Result) (*Result, error) {
 	if err := cfg.validate(); err != nil {

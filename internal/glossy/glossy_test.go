@@ -10,7 +10,7 @@ import (
 	"iotmpc/internal/topology"
 )
 
-func flockChannel(t *testing.T) *phy.Channel {
+func flockChannel(t *testing.T) *phy.LogDistance {
 	t.Helper()
 	ch, err := topology.FlockLab().Channel(phy.DefaultParams(), 1)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestFloodReachesWholeNetworkAtHighNTX(t *testing.T) {
 	covered := 0
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		res, err := Run(cfg, rng, nil, nil)
+		res, err := RunArena(cfg, rng, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestFloodLatencyGrowsWithHops(t *testing.T) {
 	sum := make([]float64, 6)
 	const trials = 200
 	for i := 0; i < trials; i++ {
-		res, err := Run(cfg, rng, nil, nil)
+		res, err := RunArena(cfg, rng, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestCoverageGrowsWithNTX(t *testing.T) {
 		total := 0.0
 		const trials = 100
 		for i := 0; i < trials; i++ {
-			res, err := Run(Config{Channel: ch, Initiator: 0, NTX: ntx, PayloadBytes: 16}, rng, nil, nil)
+			res, err := RunArena(Config{Channel: ch, Initiator: 0, NTX: ntx, PayloadBytes: 16}, rng, nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestFloodAccountsRadioTime(t *testing.T) {
 	ledger := sim.NewRadioLedger(ch.NumNodes())
 	engine := sim.NewEngine()
 	rng := rand.New(rand.NewSource(4))
-	res, err := Run(Config{Channel: ch, Initiator: 0, NTX: 4, PayloadBytes: 16}, rng, ledger, engine)
+	res, err := RunArena(Config{Channel: ch, Initiator: 0, NTX: 4, PayloadBytes: 16}, rng, ledger, engine, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFloodDeterministicGivenSeed(t *testing.T) {
 	ch := flockChannel(t)
 	run := func() *Result {
 		rng := rand.New(rand.NewSource(42))
-		res, err := Run(Config{Channel: ch, Initiator: 0, NTX: 3, PayloadBytes: 16}, rng, nil, nil)
+		res, err := RunArena(Config{Channel: ch, Initiator: 0, NTX: 3, PayloadBytes: 16}, rng, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,12 +153,12 @@ func TestFloodTerminates(t *testing.T) {
 	// reached node exhausts NTX.
 	p := phy.DefaultParams()
 	p.ShadowingSigmaDB = 0
-	ch, err := phy.NewChannel(p, []phy.Position{{X: 0}, {X: 10}, {X: 100000}}, 1)
+	ch, err := phy.NewLogDistance(p, []phy.Position{{X: 0}, {X: 10}, {X: 100000}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	res, err := Run(Config{Channel: ch, Initiator: 0, NTX: 3, PayloadBytes: 16}, rng, nil, nil)
+	res, err := RunArena(Config{Channel: ch, Initiator: 0, NTX: 3, PayloadBytes: 16}, rng, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(tt.cfg, rng, nil, nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := RunArena(tt.cfg, rng, nil, nil, nil, nil); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("error = %v, want ErrBadConfig", err)
 			}
 		})
@@ -199,7 +199,7 @@ func TestConfigValidation(t *testing.T) {
 func TestResultInitiator(t *testing.T) {
 	ch := flockChannel(t)
 	rng := rand.New(rand.NewSource(6))
-	res, err := Run(Config{Channel: ch, Initiator: 3, NTX: 2, PayloadBytes: 8}, rng, nil, nil)
+	res, err := RunArena(Config{Channel: ch, Initiator: 3, NTX: 2, PayloadBytes: 8}, rng, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,11 @@ import (
 // operations instead of 64 scalar draws.
 //
 // rngs[l] is lane l's private randomness stream, and the contract is
-// per-lane exactness: res[l] is bit-identical to Run(cfg, rngs[l], ...) for
-// the same starting RNG state, with identical RNG consumption — each lane's
-// stream is touched exactly when its scalar flood would touch it, so any
-// partition of a trial batch into lane groups produces the same per-trial
-// results. ledgers (optional, per lane; nil entries skip crediting) receive
+// per-lane exactness: res[l] is bit-identical to
+// RunArena(cfg, rngs[l], ...) for the same starting RNG state, with
+// identical RNG consumption — each lane's stream is touched exactly when
+// its scalar flood would touch it, so any partition of a trial batch into
+// lane groups produces the same per-trial results. ledgers (optional, per lane; nil entries skip crediting) receive
 // the same radio-time credits the scalar path books. Engines are not
 // advanced here: callers advance per-lane engines by each Result.Duration
 // (sim.Engine state never feeds back into flood outcomes).

@@ -44,7 +44,7 @@ func TestRunLanesMatchesScalar(t *testing.T) {
 					}
 					for l := 0; l < lanes; l++ {
 						scalarLedger := sim.NewRadioLedger(n)
-						want, err := Run(cfg, scalarRNG[l], scalarLedger, nil)
+						want, err := RunArena(cfg, scalarRNG[l], scalarLedger, nil, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

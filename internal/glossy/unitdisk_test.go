@@ -22,12 +22,12 @@ func floodOverDisk(t *testing.T, tb topology.Topology, radius float64, ntx int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      u,
 		Initiator:    0,
 		NTX:          ntx,
 		PayloadBytes: 16,
-	}, rand.New(rand.NewSource(1)), nil, nil)
+	}, rand.New(rand.NewSource(1)), nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,7 @@ func floodOverDisk(t *testing.T, tb topology.Topology, radius float64, ntx int) 
 // distance d first receives in slot d-1 (the initiator transmits in slot 0).
 func assertExactFlood(t *testing.T, u *phy.UnitDisk, res *Result) {
 	t.Helper()
-	dist, err := phy.HopDistances(u, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dist {
+	for i, d := range u.LinkTable().HopDistances(0, 0.5) {
 		if reachable := d >= 0; res.Received[i] != reachable {
 			t.Fatalf("node %d (hop %d): Received=%v, want %v", i, d, res.Received[i], reachable)
 		}
@@ -78,9 +74,7 @@ func TestUnitDiskFloodConnectedExactCoverage(t *testing.T) {
 		for _, ntx := range []int{1, 3} {
 			u, res := floodOverDisk(t, tb, 45, ntx)
 			assertExactFlood(t, u, res)
-			if _, connected, err := phy.Diameter(u, 0.5); err != nil {
-				t.Fatal(err)
-			} else if connected && res.Coverage() != 1 {
+			if _, connected := u.LinkTable().Diameter(0.5); connected && res.Coverage() != 1 {
 				t.Fatalf("seed %d ntx %d: connected topology covered %v, want exactly 1",
 					seed, ntx, res.Coverage())
 			}
@@ -118,12 +112,12 @@ func TestUnitDiskFloodDisconnectedNeverReceives(t *testing.T) {
 	}
 	for seed := int64(0); seed < 5; seed++ {
 		for _, ntx := range []int{1, 4} {
-			res, err := Run(Config{
+			res, err := RunArena(Config{
 				Channel:      u,
 				Initiator:    0,
 				NTX:          ntx,
 				PayloadBytes: 16,
-			}, rand.New(rand.NewSource(seed)), nil, nil)
+			}, rand.New(rand.NewSource(seed)), nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,12 +150,12 @@ func TestUnitDiskFloodGrayZoneStaysDeterministicAtCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grayRes, err := Run(Config{
+	grayRes, err := RunArena(Config{
 		Channel:      gray,
 		Initiator:    0,
 		NTX:          2,
 		PayloadBytes: 16,
-	}, rand.New(rand.NewSource(7)), nil, nil)
+	}, rand.New(rand.NewSource(7)), nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,12 +306,12 @@ func RunRound(cfg Config, trial uint64) (*RoundResult, error) {
 	cpu[cfg.Sink] += time.Duration(vecLen) * cfg.Cost.Decrypt
 
 	// Result dissemination: Glossy flood of the L 8-byte aggregates.
-	flood, err := glossy.Run(glossy.Config{
+	flood, err := glossy.RunArena(glossy.Config{
 		Channel:      ch,
 		Initiator:    cfg.Sink,
 		NTX:          6,
 		PayloadBytes: 8*vecLen + 4,
-	}, radioRNG, ledger, engine)
+	}, radioRNG, ledger, engine, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("result flood: %w", err)
 	}

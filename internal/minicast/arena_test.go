@@ -11,7 +11,7 @@ import (
 )
 
 // TestRunArenaMatchesRun pins the arena path bit-for-bit to the allocating
-// path across reused rounds: same RNG stream in, same Result out (including
+// path (a nil arena) across reused rounds: same RNG stream in, same Result out (including
 // the ledger credits), RNGs still aligned afterwards.
 func TestRunArenaMatchesRun(t *testing.T) {
 	tb := topology.FlockLab()
@@ -31,7 +31,7 @@ func TestRunArenaMatchesRun(t *testing.T) {
 	var arena sim.Arena
 	for round := 0; round < 10; round++ {
 		wantLedger := sim.NewRadioLedger(n)
-		want, err := Run(cfg, plain, wantLedger, nil)
+		want, err := RunArena(cfg, plain, wantLedger, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,6 +51,6 @@ func TestRunArenaMatchesRun(t *testing.T) {
 		}
 	}
 	if plain.Int63() != arenaRNG.Int63() {
-		t.Fatal("RNG streams diverged between Run and RunArena")
+		t.Fatal("RNG streams diverged between the allocating and arena paths")
 	}
 }

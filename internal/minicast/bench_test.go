@@ -8,7 +8,7 @@ import (
 	"iotmpc/internal/topology"
 )
 
-func benchChannel(b *testing.B, top topology.Topology) *phy.Channel {
+func benchChannel(b *testing.B, top topology.Topology) *phy.LogDistance {
 	b.Helper()
 	ch, err := top.Channel(phy.DefaultParams(), 1)
 	if err != nil {
@@ -31,7 +31,7 @@ func BenchmarkAllToAllFlockLab(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, rng, nil, nil); err != nil {
+		if _, err := RunArena(cfg, rng, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkSharingChainDCube(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, rng, nil, nil); err != nil {
+		if _, err := RunArena(cfg, rng, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,13 +16,13 @@ func runOn(t *testing.T, top topology.Topology, ntx int, seed int64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      ch,
 		Initiator:    0,
 		NTX:          ntx,
 		Items:        allToAllItems(ch.NumNodes()),
 		PayloadBytes: 20,
-	}, rand.New(rand.NewSource(seed)), nil, nil)
+	}, rand.New(rand.NewSource(seed)), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestInvariantOneHopPerWave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      ch,
 		Initiator:    0,
 		NTX:          10,
 		Items:        allToAllItems(7),
 		PayloadBytes: 20,
-	}, rand.New(rand.NewSource(3)), nil, nil)
+	}, rand.New(rand.NewSource(3)), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func (r *LaneResult) Have(node, item int) uint64 {
 // configuration at once, one per bit lane, with possession and the
 // wave-start relay snapshot held as uint64 lane masks. rngs[l] is lane l's
 // private randomness stream; the contract is per-lane exactness: lane l of
-// the returned masks matches Run(cfg, rngs[l], ...) bit for bit, with
+// the returned masks matches RunArena(cfg, rngs[l], ...) bit for bit, with
 // identical RNG consumption per lane, so any partition of a trial batch
 // into lane groups is deterministic. ledgers (optional, per lane; nil
 // entries skip crediting) receive the same per-phase radio credits the

@@ -75,7 +75,7 @@ func assertLanesMatchScalar(t *testing.T, cfg Config, lanes int) {
 	}
 	for l := 0; l < lanes; l++ {
 		wantLedger := sim.NewRadioLedger(n)
-		want, err := Run(cfg, scalarRNG[l], wantLedger, nil)
+		want, err := RunArena(cfg, scalarRNG[l], wantLedger, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,10 +169,7 @@ func TestMinicastRunLanesPastFullCoverage(t *testing.T) {
 	for name, radio := range laneRadios(t) {
 		t.Run(name, func(t *testing.T) {
 			n := radio.NumNodes()
-			diam, _, err := phy.Diameter(radio, 0.5)
-			if err != nil {
-				t.Fatal(err)
-			}
+			diam, _ := radio.LinkTable().Diameter(0.5)
 			failed := make([]bool, n)
 			failed[5], failed[18] = true, true
 			items := allToAllItems(n)

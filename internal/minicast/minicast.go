@@ -161,19 +161,14 @@ func (r *Result) MeanCoverage() float64 {
 	return total / float64(r.ChainLen)
 }
 
-// Run executes one MiniCast round. The RNG drives reception draws; ledger
-// (optional) accumulates radio time; engine (optional) advances by Duration.
-func Run(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.Engine) (*Result, error) {
-	return RunArena(cfg, rng, ledger, engine, nil)
-}
-
-// RunArena is Run with every per-round buffer — the n×chainLen possession
-// and arrival matrices, wave counters, level partitions, scratch lists —
-// borrowed from the arena (nil: heap-allocate, as Run always did). The
-// returned Result aliases arena memory and is valid until the caller's next
-// a.Reset(); core.RunRound holds one arena across its chain phases and
-// resets it once per round. Outcomes are bit-identical to Run for the same
-// RNG state.
+// RunArena executes one MiniCast round. The RNG drives reception draws;
+// ledger (optional) accumulates radio time; engine (optional) advances by
+// Duration. Every per-round buffer — the n×chainLen possession and arrival
+// matrices, wave counters, level partitions, scratch lists — is borrowed
+// from the arena (nil: heap-allocate). The returned Result aliases arena
+// memory and is valid until the caller's next a.Reset(); core.RunRound
+// holds one arena across its chain phases and resets it once per round.
+// Outcomes for the same RNG state do not depend on the arena.
 func RunArena(cfg Config, rng *rand.Rand, ledger *sim.RadioLedger, engine *sim.Engine,
 	a *sim.Arena) (*Result, error) {
 	if err := cfg.validate(); err != nil {

@@ -11,7 +11,7 @@ import (
 	"iotmpc/internal/topology"
 )
 
-func flockChannel(t *testing.T) *phy.Channel {
+func flockChannel(t *testing.T) *phy.LogDistance {
 	t.Helper()
 	ch, err := topology.FlockLab().Channel(phy.DefaultParams(), 1)
 	if err != nil {
@@ -42,7 +42,7 @@ func TestAllToAllFullCoverageAtHighNTX(t *testing.T) {
 	full := 0
 	const trials = 20
 	for i := 0; i < trials; i++ {
-		res, err := Run(cfg, rng, nil, nil)
+		res, err := RunArena(cfg, rng, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,13 +67,13 @@ func TestCoverageNonlinearInNTX(t *testing.T) {
 		total := 0.0
 		const trials = 10
 		for i := 0; i < trials; i++ {
-			res, err := Run(Config{
+			res, err := RunArena(Config{
 				Channel:      ch,
 				Initiator:    0,
 				NTX:          ntx,
 				Items:        allToAllItems(ch.NumNodes()),
 				PayloadBytes: 20,
-			}, rng, nil, nil)
+			}, rng, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,13 +113,13 @@ func TestNearItemsArriveBeforeFarItems(t *testing.T) {
 	var sumNear, sumFar float64
 	const trials = 50
 	for i := 0; i < trials; i++ {
-		res, err := Run(Config{
+		res, err := RunArena(Config{
 			Channel:      ch,
 			Initiator:    0,
 			NTX:          8,
 			Items:        allToAllItems(6),
 			PayloadBytes: 20,
-		}, rng, nil, nil)
+		}, rng, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,13 +138,13 @@ func TestDurationFormula(t *testing.T) {
 	ch := flockChannel(t)
 	items := allToAllItems(5)
 	rng := rand.New(rand.NewSource(3))
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      ch,
 		Initiator:    0,
 		NTX:          3,
 		Items:        items,
 		PayloadBytes: 20,
-	}, rng, nil, nil)
+	}, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestListenFilterBlocksReception(t *testing.T) {
 		ListenFilter: func(node int, it Item) bool { return node != 7 },
 	}
 	rng := rand.New(rand.NewSource(4))
-	res, err := Run(cfg, rng, nil, nil)
+	res, err := RunArena(cfg, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStopListenFreezesAndRecordsTime(t *testing.T) {
 		},
 	}
 	rng := rand.New(rand.NewSource(5))
-	res, err := Run(cfg, rng, nil, nil)
+	res, err := RunArena(cfg, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestFailedNodesNeitherSendNorReceive(t *testing.T) {
 		Failed:       failed,
 	}
 	rng := rand.New(rand.NewSource(6))
-	res, err := Run(cfg, rng, nil, nil)
+	res, err := RunArena(cfg, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCoverageOfSkipsFailedNodes(t *testing.T) {
 		PayloadBytes: 20,
 		Failed:       failed,
 	}
-	res, err := Run(cfg, rand.New(rand.NewSource(6)), nil, nil)
+	res, err := RunArena(cfg, rand.New(rand.NewSource(6)), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +312,13 @@ func TestRadioAccounting(t *testing.T) {
 	ledger := sim.NewRadioLedger(n)
 	engine := sim.NewEngine()
 	rng := rand.New(rand.NewSource(7))
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      ch,
 		Initiator:    0,
 		NTX:          4,
 		Items:        allToAllItems(n),
 		PayloadBytes: 20,
-	}, rng, ledger, engine)
+	}, rng, ledger, engine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,14 +345,14 @@ func TestDutyCycledListenerSpendsLessRadio(t *testing.T) {
 	run := func(filter func(int, Item) bool) time.Duration {
 		ledger := sim.NewRadioLedger(n)
 		rng := rand.New(rand.NewSource(8))
-		_, err := Run(Config{
+		_, err := RunArena(Config{
 			Channel:      ch,
 			Initiator:    0,
 			NTX:          6,
 			Items:        allToAllItems(n),
 			PayloadBytes: 20,
 			ListenFilter: filter,
-		}, rng, ledger, nil)
+		}, rng, ledger, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,13 +374,13 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	ch := flockChannel(t)
 	run := func() *Result {
 		rng := rand.New(rand.NewSource(99))
-		res, err := Run(Config{
+		res, err := RunArena(Config{
 			Channel:      ch,
 			Initiator:    0,
 			NTX:          5,
 			Items:        allToAllItems(ch.NumNodes()),
 			PayloadBytes: 20,
-		}, rng, nil, nil)
+		}, rng, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,7 +416,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(tt.cfg, rng, nil, nil); !errors.Is(err, ErrBadConfig) {
+			if _, err := RunArena(tt.cfg, rng, nil, nil, nil); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("error = %v, want ErrBadConfig", err)
 			}
 		})
@@ -426,13 +426,13 @@ func TestConfigValidation(t *testing.T) {
 func TestOwnersHoldOwnItemsAtTimeZero(t *testing.T) {
 	ch := flockChannel(t)
 	rng := rand.New(rand.NewSource(11))
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      ch,
 		Initiator:    0,
 		NTX:          1,
 		Items:        allToAllItems(ch.NumNodes()),
 		PayloadBytes: 20,
-	}, rng, nil, nil)
+	}, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,13 +453,13 @@ func TestMultiItemPerOwnerChain(t *testing.T) {
 		{Owner: 2, Dst: 4},
 	}
 	rng := rand.New(rand.NewSource(12))
-	res, err := Run(Config{
+	res, err := RunArena(Config{
 		Channel:      ch,
 		Initiator:    0,
 		NTX:          10,
 		Items:        items,
 		PayloadBytes: 25,
-	}, rng, nil, nil)
+	}, rng, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

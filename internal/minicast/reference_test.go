@@ -221,10 +221,7 @@ func FuzzRunArenaMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, backend, ntxSel uint8, failMask uint32, filter bool, stopAfter uint8, seed int64) {
 		radio := radios[int(backend)%len(radios)]
 		n := radio.NumNodes()
-		diam, _, err := phy.Diameter(radio, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		diam, _ := radio.LinkTable().Diameter(0.5)
 		ntx := 1 + int(ntxSel)%(3*(diam+1))
 		// Node 0 initiates and never fails; every other node may crash,
 		// owners included.

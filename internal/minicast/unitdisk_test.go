@@ -23,22 +23,22 @@ func TestUnitDiskAllToAllExactAtDiameterWaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diam, connected, err := phy.Diameter(u, 0.5)
-	if err != nil || !connected {
-		t.Fatalf("diameter %d connected=%v err=%v", diam, connected, err)
+	diam, connected := u.LinkTable().Diameter(0.5)
+	if !connected {
+		t.Fatalf("diameter %d disconnected", diam)
 	}
 	items := make([]Item, u.NumNodes())
 	for i := range items {
 		items[i] = Item{Owner: i, Dst: -1}
 	}
 	run := func(ntx int) *Result {
-		res, err := Run(Config{
+		res, err := RunArena(Config{
 			Channel:      u,
 			Initiator:    0,
 			NTX:          ntx,
 			Items:        items,
 			PayloadBytes: 16,
-		}, rand.New(rand.NewSource(1)), nil, nil)
+		}, rand.New(rand.NewSource(1)), nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,10 @@ import (
 	"iotmpc/internal/trace"
 )
 
-// Backend dispatch benchmarks: ReceiveConcurrentFast is the chain
-// simulation's hot path (millions of draws per round), and since the Radio
-// refactor every call goes through the interface. These benches track the
-// per-draw cost of each backend — and therefore the dispatch overhead —
-// side by side. CI's bench smoke records them in BENCH_phy.json.
+// Backend draw benchmarks: the LinkTable's ReceiveConcurrentFast is the
+// scalar flood and chain hot path (millions of draws per round). CI's bench
+// smoke records its per-draw cost on each backend's table in
+// BENCH_phy.json.
 
 func benchPositions(n int) []phy.Position {
 	rng := rand.New(rand.NewSource(1))
@@ -37,46 +36,8 @@ func benchTrace(n int) *trace.LinkTrace {
 	return tr
 }
 
-func BenchmarkBackendReceiveConcurrentFast(b *testing.B) {
-	const n = 24
-	pos := benchPositions(n)
-	logdist, err := phy.NewLogDistance(phy.DefaultParams(), pos, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	unitdisk, err := phy.NewUnitDisk(phy.DefaultParams(), pos, 40, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	replay, err := trace.NewChannel(phy.DefaultParams(), benchTrace(n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	transmitters := []int{1, 2, 3, 4}
-	for _, bc := range []struct {
-		name  string
-		radio phy.Radio
-	}{
-		{"logdist", logdist},
-		{"unitdisk", unitdisk},
-		{"trace", replay},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.radio.ReceiveConcurrentFast(i%n, transmitters, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLinkTableReceiveConcurrentFast is the flood kernel's actual hot
-// path since the LinkTable refactor: the same draw as the interface bench
-// above, served from the flat snapshot with no dispatch and no error
-// returns. The gap between the two is what the table buys per draw.
+// BenchmarkLinkTableReceiveConcurrentFast times one four-transmitter
+// concurrent draw on each backend's table.
 func BenchmarkLinkTableReceiveConcurrentFast(b *testing.B) {
 	const n = 24
 	pos := benchPositions(n)
@@ -109,22 +70,5 @@ func BenchmarkLinkTableReceiveConcurrentFast(b *testing.B) {
 				table.ReceiveConcurrentFast(i%n, transmitters, rng)
 			}
 		})
-	}
-}
-
-// BenchmarkUnitDiskPRR isolates the pure geometry query of the idealized
-// backend (no RNG), the floor of what any backend dispatch can cost.
-func BenchmarkUnitDiskPRR(b *testing.B) {
-	const n = 24
-	unitdisk, err := phy.NewUnitDisk(phy.DefaultParams(), benchPositions(n), 40, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var r phy.Radio = unitdisk
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.PRR(i%n, (i+1)%n); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package phy
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -21,13 +20,8 @@ func (p Position) Distance(other Position) float64 {
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
-// Errors returned by channel construction and queries.
-var (
-	// ErrNoNodes is returned when a channel is built without nodes.
-	ErrNoNodes = errors.New("phy: no nodes")
-	// ErrNodeIndex is returned for out-of-range node indices.
-	ErrNodeIndex = errors.New("phy: node index out of range")
-)
+// ErrNoNodes is returned when a backend is built without nodes.
+var ErrNoNodes = errors.New("phy: no nodes")
 
 // LogDistance is the statistical radio backend the paper's evaluation uses:
 // pairwise mean RSSI from log-distance path loss plus frozen shadowing, and
@@ -44,19 +38,7 @@ type LogDistance struct {
 	table     *LinkTable
 }
 
-// Channel is the historical name of the LogDistance backend; it predates the
-// Radio interface and remains as an alias because most construction sites
-// (topology.Topology.Channel, tests, examples) still speak in terms of "the
-// channel".
-type Channel = LogDistance
-
 var _ Radio = (*LogDistance)(nil)
-
-// NewChannel builds a LogDistance environment. seed freezes the shadowing
-// realization; two channels built with the same inputs are identical.
-func NewChannel(params Params, positions []Position, seed int64) (*Channel, error) {
-	return NewLogDistance(params, positions, seed)
-}
 
 // NewLogDistance builds the log-distance + shadowing environment. seed
 // freezes the shadowing realization; two backends built with the same inputs
@@ -92,191 +74,19 @@ func NewLogDistance(params Params, positions []Position, seed int64) (*LogDistan
 		}
 		rssi[i][i] = math.Inf(-1) // a node never receives itself
 	}
-	return &Channel{params: params, positions: pos, rssi: rssi}, nil
+	return &LogDistance{params: params, positions: pos, rssi: rssi}, nil
 }
 
 // NumNodes returns the number of nodes in the environment.
-func (c *Channel) NumNodes() int { return len(c.positions) }
+func (c *LogDistance) NumNodes() int { return len(c.positions) }
 
 // Params returns the PHY parameterization of the channel.
-func (c *Channel) Params() Params { return c.params }
-
-// MeanRSSI returns the average received power at rx for a transmission from
-// tx, in dBm.
-func (c *Channel) MeanRSSI(tx, rx int) (float64, error) {
-	if err := c.checkIndex(tx, rx); err != nil {
-		return 0, err
-	}
-	return c.rssi[tx][rx], nil
-}
-
-// PRR returns the long-run packet reception ratio of the directed link
-// tx→rx under the RSSI→PRR sigmoid (no fading draw; fading is averaged out).
-func (c *Channel) PRR(tx, rx int) (float64, error) {
-	if err := c.checkIndex(tx, rx); err != nil {
-		return 0, err
-	}
-	return c.prrFromRSSI(c.rssi[tx][rx]), nil
-}
-
-func (c *Channel) prrFromRSSI(rssi float64) float64 {
-	if rssi < c.params.SensitivityDBm {
-		return 0
-	}
-	return 1 / (1 + math.Exp(-(rssi-c.params.PRRMidpointDBm)/c.params.PRRWidthDB))
-}
-
-// ReceiveSingle draws one reception attempt for a lone transmission tx→rx,
-// applying per-packet fading.
-func (c *Channel) ReceiveSingle(tx, rx int, rng *rand.Rand) (bool, error) {
-	if err := c.checkIndex(tx, rx); err != nil {
-		return false, err
-	}
-	faded := c.rssi[tx][rx] + rng.NormFloat64()*c.params.FadingSigmaDB
-	return rng.Float64() < c.prrFromRSSI(faded), nil
-}
-
-// ReceiveConcurrent draws one reception attempt at rx when every node in
-// transmitters sends the SAME packet in the same synchronized slot — the
-// Glossy/MiniCast situation. Constructive interference is modeled as the
-// strongest incoming signal plus CTGainDB per doubling of transmitter count
-// (a standard first-order model for CT reliability gain).
-func (c *Channel) ReceiveConcurrent(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	if len(transmitters) == 0 {
-		return false, nil
-	}
-	best := math.Inf(-1)
-	for _, tx := range transmitters {
-		if err := c.checkIndex(tx, rx); err != nil {
-			return false, err
-		}
-		if tx == rx {
-			return false, nil // a transmitting node cannot receive in the same slot
-		}
-		faded := c.rssi[tx][rx] + rng.NormFloat64()*c.params.FadingSigmaDB
-		if faded > best {
-			best = faded
-		}
-	}
-	if len(transmitters) >= 2 && rng.Float64() < c.params.CTBeatingLoss {
-		return false, nil // beating corrupted the superposition
-	}
-	ctBoost := c.params.CTGainDB * math.Log2(float64(len(transmitters)))
-	return rng.Float64() < c.prrFromRSSI(best+ctBoost), nil
-}
-
-// ReceiveConcurrentFast is the hot-path variant of ReceiveConcurrent used by
-// the TDMA chain simulation, which draws millions of sub-slot receptions per
-// round. It applies one fading draw to the strongest mean link instead of one
-// per transmitter; for the small fading sigma of a static testbed the
-// difference is second-order, and it makes the cost independent of the
-// transmitter count.
-func (c *Channel) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	if len(transmitters) == 0 {
-		return false, nil
-	}
-	best := math.Inf(-1)
-	for _, tx := range transmitters {
-		if err := c.checkIndex(tx, rx); err != nil {
-			return false, err
-		}
-		if tx == rx {
-			return false, nil
-		}
-		if r := c.rssi[tx][rx]; r > best {
-			best = r
-		}
-	}
-	if len(transmitters) >= 2 && rng.Float64() < c.params.CTBeatingLoss {
-		return false, nil // beating corrupted the superposition
-	}
-	faded := best + rng.NormFloat64()*c.params.FadingSigmaDB +
-		c.params.CTGainDB*math.Log2(float64(len(transmitters)))
-	return rng.Float64() < c.prrFromRSSI(faded), nil
-}
+func (c *LogDistance) Params() Params { return c.params }
 
 // LinkTable returns the flat snapshot of the log-distance link model (mean
 // RSSI plus the derived PRR per directed link). Built lazily once; floods
 // sharing the channel across goroutines all see the same table.
-func (c *Channel) LinkTable() *LinkTable {
+func (c *LogDistance) LinkTable() *LinkTable {
 	c.tableOnce.Do(func() { c.table = newLogDistanceTable(c.params, c.rssi) })
 	return c.table
-}
-
-// ReceiveCapture draws a reception attempt at rx when the transmitters carry
-// DIFFERENT packets (a collision). The strongest signal is captured iff it
-// exceeds the aggregate of the rest by CaptureThresholdDB; the function
-// returns the index into transmitters of the captured sender, or -1.
-func (c *Channel) ReceiveCapture(rx int, transmitters []int, rng *rand.Rand) (int, error) {
-	if len(transmitters) == 0 {
-		return -1, nil
-	}
-	powers := make([]float64, len(transmitters))
-	bestIdx, best := -1, math.Inf(-1)
-	for i, tx := range transmitters {
-		if err := c.checkIndex(tx, rx); err != nil {
-			return -1, err
-		}
-		if tx == rx {
-			return -1, nil
-		}
-		powers[i] = c.rssi[tx][rx] + rng.NormFloat64()*c.params.FadingSigmaDB
-		if powers[i] > best {
-			best, bestIdx = powers[i], i
-		}
-	}
-	// Sum interference in linear (mW) domain.
-	var interfMW float64
-	for i, p := range powers {
-		if i == bestIdx {
-			continue
-		}
-		interfMW += math.Pow(10, p/10)
-	}
-	if interfMW > 0 {
-		sir := best - 10*math.Log10(interfMW)
-		if sir < c.params.CaptureThresholdDB {
-			return -1, nil
-		}
-	}
-	if rng.Float64() < c.prrFromRSSI(best) {
-		return bestIdx, nil
-	}
-	return -1, nil
-}
-
-// Neighbors returns every node whose link PRR from node i meets the
-// threshold, in ascending index order (the package-level Neighbors over this
-// backend).
-func (c *Channel) Neighbors(i int, prrThreshold float64) ([]int, error) {
-	return Neighbors(c, i, prrThreshold)
-}
-
-// HopDistances returns the minimum hop count from src to every node over the
-// connectivity graph induced by links with PRR >= prrThreshold (the
-// package-level HopDistances over this backend).
-func (c *Channel) HopDistances(src int, prrThreshold float64) ([]int, error) {
-	return HopDistances(c, src, prrThreshold)
-}
-
-// Diameter returns the maximum finite hop distance between any pair under
-// the PRR threshold, and whether the graph is connected (the package-level
-// Diameter over this backend).
-func (c *Channel) Diameter(prrThreshold float64) (int, bool, error) {
-	return Diameter(c, prrThreshold)
-}
-
-func (c *Channel) checkIndex(a, b int) error {
-	return checkIndex(a, b, len(c.positions))
-}
-
-func checkIndex(a, b, n int) error {
-	if a < 0 || a >= n || b < 0 || b >= n {
-		return indexError(a, b, n)
-	}
-	return nil
-}
-
-func indexError(a, b, n int) error {
-	return fmt.Errorf("%w: (%d,%d) with %d nodes", ErrNodeIndex, a, b, n)
 }

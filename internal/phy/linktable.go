@@ -5,12 +5,9 @@ import (
 	"math/rand"
 )
 
-// tableMode selects how a LinkTable combines concurrent same-packet
-// transmitters into one reception draw. Each mode replicates — draw for
-// draw — the ReceiveConcurrentFast semantics of the backend it snapshots,
-// so switching a protocol loop from the Radio interface to its table
-// changes nothing about the simulated outcome, only the cost of reaching
-// it.
+// tableMode selects the draw semantics of a LinkTable: how a lone link
+// and a set of concurrent same-packet transmitters turn into one reception
+// draw. Each mode is one backend's link model.
 type tableMode uint8
 
 const (
@@ -25,20 +22,20 @@ const (
 	tableUnionPRR
 )
 
-// LinkTable is an immutable, flat snapshot of a Radio's link model — the
-// batched form of the per-link queries the flood kernel makes millions of
-// times per scenario. It holds the n×n link matrices receiver-major
-// (entry rx·n+tx), so a reception loop that fixes rx and scans a
-// transmitter list walks one cache-resident row instead of chasing n row
-// pointers, and its draw methods are direct calls with no interface
+// LinkTable is an immutable, flat snapshot of a Radio's link model and
+// the contract every backend implements: link statistics, reception draws
+// and connectivity queries all run on it. It holds the n×n link matrices
+// receiver-major (entry rx·n+tx), so a reception loop that fixes rx and
+// scans a transmitter list walks one cache-resident row instead of chasing
+// n row pointers, and its draw methods are direct calls with no interface
 // dispatch and no error returns.
 //
-// The contract that makes the swap safe is exactness: for the same
-// *rand.Rand state, ReceiveConcurrentFast consumes the same draws in the
-// same order and returns the same outcome as the backend method it
-// shadows (pinned by the equivalence tests in this package and
-// internal/trace). Certain links (PRR exactly 0 or 1) keep the
-// backend-wide rule of consuming no randomness.
+// The draws are exact: for the same *rand.Rand state they consume the same
+// randomness in the same order and return the same outcomes as per-call
+// oracles that compute each backend's draws from its own state (test-only,
+// in this package and internal/trace). In the PRR-only modes (UnitDisk,
+// trace replay) certain links (PRR exactly 0 or 1) consume no randomness;
+// log-distance draws always run their fading draw.
 //
 // Tables are built once per Radio (backends cache them behind a
 // sync.Once) and are safe for concurrent readers; indices must be valid
@@ -140,9 +137,9 @@ func UnionPRRTable(prr [][]float64) *LinkTable { return prrTable(tableUnionPRR, 
 // NumNodes returns the number of nodes in the snapshot.
 func (t *LinkTable) NumNodes() int { return t.n }
 
-// PRR returns the long-run reception ratio of the directed link tx→rx —
-// the same value the snapshotted Radio's PRR reports, without the error
-// return.
+// PRR returns the long-run reception ratio of the directed link tx→rx; a
+// node never receives itself, so the diagonal is 0. Under log-distance it
+// is the RSSI→PRR sigmoid of the mean RSSI (fading averaged out).
 func (t *LinkTable) PRR(tx, rx int) float64 { return t.prr[rx*t.n+tx] }
 
 // Certain reports whether the link tx→rx has PRR exactly 0 or 1, so a
@@ -173,11 +170,28 @@ func (t *LinkTable) drawLogDistance(count int, best float64, rng *rand.Rand) boo
 	return rng.Float64() < t.prrFromRSSI(faded)
 }
 
+// ReceiveSingle draws one reception attempt for a lone transmission
+// tx→rx. Under log-distance it applies one per-packet fading draw to the
+// mean RSSI, then draws on the sigmoid of the faded power (two draws even
+// on the diagonal, whose RSSI is −Inf); the other modes draw once on the
+// link PRR.
+func (t *LinkTable) ReceiveSingle(tx, rx int, rng *rand.Rand) bool {
+	i := rx*t.n + tx
+	if t.mode != tableLogDistance {
+		return Draw(t.prr[i], rng)
+	}
+	faded := t.rssi[i] + rng.NormFloat64()*t.fadingSigmaDB
+	return rng.Float64() < t.prrFromRSSI(faded)
+}
+
 // ReceiveConcurrentFast draws one reception attempt at rx when every node
-// in transmitters sends the same packet in the same synchronized slot. It
-// is draw-for-draw identical to the snapshotted backend's
-// ReceiveConcurrentFast: same RNG consumption order, same outcome, at
-// table-lookup cost.
+// in transmitters sends the same packet in the same synchronized slot —
+// the Glossy/MiniCast situation; a transmitter in the set cannot receive.
+// Log-distance credits the strongest mean link with CTGainDB per doubling
+// of the transmitter count and applies one beating draw (at >= 2
+// transmitters) and one fading draw, so the cost is independent of the
+// set size; UnitDisk draws once on the best link; trace replay draws once
+// on the union probability 1 − Π(1 − PRRᵢ).
 func (t *LinkTable) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.Rand) bool {
 	if len(transmitters) == 0 {
 		return false
@@ -221,9 +235,8 @@ func (t *LinkTable) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.
 
 // HopDistancesInto fills dist (length NumNodes) with the minimum hop
 // count from src to every node over links with PRR >= threshold;
-// unreachable nodes get -1. It produces exactly the values of the
-// package-level HopDistances over the snapshotted Radio, with no
-// allocation: the caller owns dist (typically arena-borrowed).
+// unreachable nodes get -1. It allocates nothing: the caller owns dist
+// (typically arena-borrowed).
 func (t *LinkTable) HopDistancesInto(dist []int, src int, threshold float64) {
 	n := t.n
 	for i := range dist {
@@ -232,7 +245,7 @@ func (t *LinkTable) HopDistancesInto(dist []int, src int, threshold float64) {
 	dist[src] = 0
 	// Level-synchronous expansion: pass `level` promotes every unreached
 	// node adjacent to a level-`level` node. Hop distances are unique, so
-	// this matches the BFS the Radio-generic query runs.
+	// this matches a queue BFS.
 	for level := 0; ; level++ {
 		advanced := false
 		for u := 0; u < n; u++ {
@@ -260,4 +273,22 @@ func (t *LinkTable) HopDistances(src int, threshold float64) []int {
 	dist := make([]int, t.n)
 	t.HopDistancesInto(dist, src, threshold)
 	return dist
+}
+
+// Diameter returns the maximum finite hop distance between any pair over
+// links with PRR >= threshold, and whether that graph is connected.
+func (t *LinkTable) Diameter(threshold float64) (int, bool) {
+	dist := make([]int, t.n)
+	diameter, connected := 0, true
+	for src := 0; src < t.n; src++ {
+		t.HopDistancesInto(dist, src, threshold)
+		for _, d := range dist {
+			if d < 0 {
+				connected = false
+			} else if d > diameter {
+				diameter = d
+			}
+		}
+	}
+	return diameter, connected
 }

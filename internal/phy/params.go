@@ -10,8 +10,9 @@
 //     shadowing and per-packet fading the paper evaluates under) and
 //     UnitDisk (idealized in-radius reception for exact property tests);
 //     internal/trace adds a third that replays recorded PRR matrices,
-//   - a reception model for concurrent transmissions (the constructive
-//     interference / capture effect that makes Glossy-style CT work),
+//   - the LinkTable, every backend's link snapshot and reception model for
+//     concurrent transmissions of the same packet (the constructive
+//     interference that makes Glossy-style CT work),
 //   - radio current figures for converting radio-on time into charge.
 //
 // The model intentionally computes latency and radio-on time from first
@@ -69,9 +70,6 @@ type Params struct {
 	// offsets periodically cancel the superimposed signals — the known
 	// reliability ceiling of CT with IEEE 802.15.4 radios).
 	CTBeatingLoss float64
-	// CaptureThresholdDB is the power margin the strongest of several
-	// different packets needs over the rest to be captured.
-	CaptureThresholdDB float64
 	// InterferenceBurstProb is the probability that ambient 2.4 GHz
 	// interference (WiFi/Bluetooth bursts, which both FlockLab and D-Cube
 	// document) blocks a node's receiver for the duration of one TDMA phase.
@@ -103,7 +101,6 @@ func DefaultParams() Params {
 		PRRWidthDB:            2.5,
 		CTGainDB:              1.2,
 		CTBeatingLoss:         0.15,
-		CaptureThresholdDB:    3.0,
 		InterferenceBurstProb: 0.2,
 		SlotGuard:             100 * time.Microsecond,
 		TxCurrentMA:           6.4,

@@ -99,22 +99,17 @@ func linePositions(n int, spacing float64) []Position {
 
 func TestNewChannelDeterministic(t *testing.T) {
 	pos := linePositions(5, 10)
-	a, err := NewChannel(DefaultParams(), pos, 99)
+	a, err := NewLogDistance(DefaultParams(), pos, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewChannel(DefaultParams(), pos, 99)
+	b, err := NewLogDistance(DefaultParams(), pos, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
-			if i == j {
-				continue
-			}
-			ra, _ := a.MeanRSSI(i, j)
-			rb, _ := b.MeanRSSI(i, j)
-			if ra != rb {
+			if i != j && a.rssi[i][j] != b.rssi[i][j] {
 				t.Fatalf("same seed, different RSSI at (%d,%d)", i, j)
 			}
 		}
@@ -122,15 +117,14 @@ func TestNewChannelDeterministic(t *testing.T) {
 }
 
 func TestChannelReciprocity(t *testing.T) {
-	c, err := NewChannel(DefaultParams(), linePositions(6, 8), 1)
+	c, err := NewLogDistance(DefaultParams(), linePositions(6, 8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := c.LinkTable()
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
-			a, _ := c.MeanRSSI(i, j)
-			b, _ := c.MeanRSSI(j, i)
-			if a != b {
+			if c.rssi[i][j] != c.rssi[j][i] || table.PRR(i, j) != table.PRR(j, i) {
 				t.Fatalf("link (%d,%d) not reciprocal", i, j)
 			}
 		}
@@ -141,16 +135,13 @@ func TestRSSIDecreasesWithDistance(t *testing.T) {
 	// Disable shadowing so monotonicity is exact.
 	p := DefaultParams()
 	p.ShadowingSigmaDB = 0
-	c, err := NewChannel(p, linePositions(10, 5), 1)
+	c, err := NewLogDistance(p, linePositions(10, 5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := math.Inf(1)
 	for j := 1; j < 10; j++ {
-		r, err := c.MeanRSSI(0, j)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := c.rssi[0][j]
 		if r >= prev {
 			t.Fatalf("RSSI not monotone: node %d has %f >= %f", j, r, prev)
 		}
@@ -161,19 +152,19 @@ func TestRSSIDecreasesWithDistance(t *testing.T) {
 func TestPRRProperties(t *testing.T) {
 	p := DefaultParams()
 	p.ShadowingSigmaDB = 0
-	c, err := NewChannel(p, linePositions(2, 1), 1)
+	c, err := NewLogDistance(p, linePositions(2, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prr, err := c.PRR(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prr < 0.99 {
+	table := c.LinkTable()
+	if prr := table.PRR(0, 1); prr < 0.99 {
 		t.Errorf("1 m link PRR = %f, want ≈1", prr)
 	}
+	if prr := table.PRR(1, 1); prr != 0 {
+		t.Errorf("self PRR = %f, want 0", prr)
+	}
 	// Below sensitivity → exactly zero.
-	if got := c.prrFromRSSI(p.SensitivityDBm - 1); got != 0 {
+	if got := table.prrFromRSSI(p.SensitivityDBm - 1); got != 0 {
 		t.Errorf("below-sensitivity PRR = %f, want 0", got)
 	}
 }
@@ -183,18 +174,15 @@ func TestReceiveSingleExtremes(t *testing.T) {
 	p.ShadowingSigmaDB = 0
 	p.FadingSigmaDB = 0
 	// Nodes 1 m apart: guaranteed reception. 10 km apart: none.
-	c, err := NewChannel(p, []Position{{0, 0}, {1, 0}, {10000, 0}}, 1)
+	c, err := NewLogDistance(p, []Position{{0, 0}, {1, 0}, {10000, 0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := c.LinkTable()
 	rng := rand.New(rand.NewSource(1))
 	okCount := 0
 	for i := 0; i < 100; i++ {
-		ok, err := c.ReceiveSingle(0, 1, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
+		if table.ReceiveSingle(0, 1, rng) {
 			okCount++
 		}
 	}
@@ -202,12 +190,11 @@ func TestReceiveSingleExtremes(t *testing.T) {
 		t.Errorf("strong link delivered %d/100", okCount)
 	}
 	for i := 0; i < 100; i++ {
-		ok, err := c.ReceiveSingle(0, 2, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
+		if table.ReceiveSingle(0, 2, rng) {
 			t.Fatal("10 km link delivered a packet")
+		}
+		if table.ReceiveSingle(1, 1, rng) {
+			t.Fatal("a node received itself")
 		}
 	}
 }
@@ -221,19 +208,16 @@ func TestReceiveConcurrentBoostsMarginalLink(t *testing.T) {
 		{0, 0}, {1, 0}, {2, 0}, {3, 0}, // transmitters
 		{62, 0}, // marginal receiver
 	}
-	c, err := NewChannel(p, positions, 1)
+	c, err := NewLogDistance(p, positions, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := c.LinkTable()
 	countSuccesses := func(txers []int, seed int64) int {
 		rng := rand.New(rand.NewSource(seed))
 		n := 0
 		for i := 0; i < 3000; i++ {
-			ok, err := c.ReceiveConcurrent(4, txers, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
+			if table.ReceiveConcurrentFast(4, txers, rng) {
 				n++
 			}
 		}
@@ -247,106 +231,35 @@ func TestReceiveConcurrentBoostsMarginalLink(t *testing.T) {
 }
 
 func TestReceiveConcurrentTransmitterCannotReceive(t *testing.T) {
-	c, err := NewChannel(DefaultParams(), linePositions(3, 1), 1)
+	c, err := NewLogDistance(DefaultParams(), linePositions(3, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	ok, err := c.ReceiveConcurrent(1, []int{0, 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if c.LinkTable().ReceiveConcurrentFast(1, []int{0, 1}, rng) {
 		t.Error("node received while transmitting in the same slot")
 	}
 }
 
 func TestReceiveConcurrentEmpty(t *testing.T) {
-	c, err := NewChannel(DefaultParams(), linePositions(2, 1), 1)
+	c, err := NewLogDistance(DefaultParams(), linePositions(2, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.ReceiveConcurrent(0, nil, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if c.LinkTable().ReceiveConcurrentFast(0, nil, rand.New(rand.NewSource(1))) {
 		t.Error("reception with no transmitters")
-	}
-}
-
-func TestReceiveCapture(t *testing.T) {
-	p := DefaultParams()
-	p.ShadowingSigmaDB = 0
-	p.FadingSigmaDB = 0
-	// tx0 very close to rx, tx1 far: tx0 should capture.
-	c, err := NewChannel(p, []Position{{0, 0}, {100, 0}, {1, 0}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	winner, err := c.ReceiveCapture(2, []int{0, 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winner != 0 {
-		t.Errorf("capture winner = %d, want 0", winner)
-	}
-}
-
-func TestReceiveCaptureSymmetricCollision(t *testing.T) {
-	p := DefaultParams()
-	p.ShadowingSigmaDB = 0
-	p.FadingSigmaDB = 0
-	// Two equidistant transmitters: SIR = 0 dB < threshold → collision.
-	c, err := NewChannel(p, []Position{{-5, 0}, {5, 0}, {0, 0}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	winner, err := c.ReceiveCapture(2, []int{0, 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winner != -1 {
-		t.Errorf("symmetric collision captured %d, want -1", winner)
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	p := DefaultParams()
-	p.ShadowingSigmaDB = 0
-	c, err := NewChannel(p, linePositions(5, 30), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At 30 m spacing with exponent 3: adjacent nodes are comfortably in
-	// range, distance-2 (60 m) marginal, distance-3 out.
-	nbrs, err := c.Neighbors(0, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbrs) == 0 {
-		t.Fatal("no neighbors at 30 m")
-	}
-	for _, n := range nbrs {
-		if n == 0 {
-			t.Error("node is its own neighbor")
-		}
 	}
 }
 
 func TestHopDistancesAndDiameter(t *testing.T) {
 	p := DefaultParams()
 	p.ShadowingSigmaDB = 0
-	c, err := NewChannel(p, linePositions(6, 35), 1)
+	c, err := NewLogDistance(p, linePositions(6, 35), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := c.HopDistances(0, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table := c.LinkTable()
+	dist := table.HopDistances(0, 0.9)
 	if dist[0] != 0 {
 		t.Errorf("dist to self = %d", dist[0])
 	}
@@ -356,10 +269,7 @@ func TestHopDistancesAndDiameter(t *testing.T) {
 			t.Errorf("hop distance not monotone along line: %v", dist)
 		}
 	}
-	diam, connected, err := c.Diameter(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected := table.Diameter(0.9)
 	if !connected {
 		t.Fatal("line topology disconnected at 35 m spacing")
 	}
@@ -368,36 +278,20 @@ func TestHopDistancesAndDiameter(t *testing.T) {
 	}
 }
 
-func TestChannelIndexErrors(t *testing.T) {
-	c, err := NewChannel(DefaultParams(), linePositions(3, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.MeanRSSI(0, 3); !errors.Is(err, ErrNodeIndex) {
-		t.Errorf("MeanRSSI: %v, want ErrNodeIndex", err)
-	}
-	if _, err := c.PRR(-1, 0); !errors.Is(err, ErrNodeIndex) {
-		t.Errorf("PRR: %v, want ErrNodeIndex", err)
-	}
-	if _, err := c.HopDistances(5, 0.5); !errors.Is(err, ErrNodeIndex) {
-		t.Errorf("HopDistances: %v, want ErrNodeIndex", err)
-	}
-}
-
 func TestNewChannelErrors(t *testing.T) {
-	if _, err := NewChannel(DefaultParams(), nil, 1); !errors.Is(err, ErrNoNodes) {
+	if _, err := NewLogDistance(DefaultParams(), nil, 1); !errors.Is(err, ErrNoNodes) {
 		t.Errorf("empty: %v, want ErrNoNodes", err)
 	}
 	bad := DefaultParams()
 	bad.BitrateBps = 0
-	if _, err := NewChannel(bad, linePositions(2, 1), 1); !errors.Is(err, ErrBadParams) {
+	if _, err := NewLogDistance(bad, linePositions(2, 1), 1); !errors.Is(err, ErrBadParams) {
 		t.Errorf("bad params: %v, want ErrBadParams", err)
 	}
 }
 
 func TestChannelAccessors(t *testing.T) {
 	p := DefaultParams()
-	c, err := NewChannel(p, linePositions(4, 10), 1)
+	c, err := NewLogDistance(p, linePositions(4, 10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,48 +303,6 @@ func TestChannelAccessors(t *testing.T) {
 	}
 }
 
-func TestReceiveConcurrentFastMatchesSlowOnExtremes(t *testing.T) {
-	p := DefaultParams()
-	p.ShadowingSigmaDB = 0
-	p.FadingSigmaDB = 0
-	p.CTBeatingLoss = 0
-	c, err := NewChannel(p, []Position{{0, 0}, {1, 0}, {10000, 0}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	// Strong link: always received.
-	for i := 0; i < 50; i++ {
-		ok, err := c.ReceiveConcurrentFast(1, []int{0}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatal("fast path dropped a guaranteed packet")
-		}
-	}
-	// Out-of-range link: never received.
-	for i := 0; i < 50; i++ {
-		ok, err := c.ReceiveConcurrentFast(2, []int{0}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Fatal("fast path delivered over 10 km")
-		}
-	}
-	// Transmitter cannot receive; empty set yields nothing.
-	if ok, _ := c.ReceiveConcurrentFast(0, []int{0, 1}, rng); ok {
-		t.Error("transmitting node received")
-	}
-	if ok, _ := c.ReceiveConcurrentFast(0, nil, rng); ok {
-		t.Error("reception with no transmitters")
-	}
-	if _, err := c.ReceiveConcurrentFast(0, []int{9}, rng); !errors.Is(err, ErrNodeIndex) {
-		t.Errorf("bad index: %v, want ErrNodeIndex", err)
-	}
-}
-
 func TestBeatingLossReducesCTReliability(t *testing.T) {
 	base := DefaultParams()
 	base.ShadowingSigmaDB = 0
@@ -458,18 +310,15 @@ func TestBeatingLossReducesCTReliability(t *testing.T) {
 	count := func(beating float64) int {
 		p := base
 		p.CTBeatingLoss = beating
-		c, err := NewChannel(p, []Position{{0, 0}, {2, 0}, {1, 0}}, 1)
+		c, err := NewLogDistance(p, []Position{{0, 0}, {2, 0}, {1, 0}}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		table := c.LinkTable()
 		rng := rand.New(rand.NewSource(3))
 		got := 0
 		for i := 0; i < 2000; i++ {
-			ok, err := c.ReceiveConcurrentFast(2, []int{0, 1}, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
+			if table.ReceiveConcurrentFast(2, []int{0, 1}, rng) {
 				got++
 			}
 		}

@@ -2,60 +2,31 @@ package phy
 
 import "math/rand"
 
-// Radio is the pluggable radio backend every protocol layer runs on. It
-// captures exactly what consumers use: the static link statistics (PRR,
-// mean RSSI), per-packet reception draws driven by an injected *rand.Rand
-// (so trials stay reproducible), and the PHY parameterization that fixes
-// frame airtimes and radio currents.
+// Radio is the pluggable radio backend every protocol layer runs on. Its
+// contract is the LinkTable: a flat snapshot of the backend's link model
+// whose reception draws are driven by an injected *rand.Rand (so trials
+// stay reproducible). A new backend builds its table from a per-link PRR
+// matrix with BestPRRTable or UnionPRRTable and supplies the PHY
+// parameterization that fixes frame airtimes and radio currents.
 //
 // Three backends ship with the repository:
 //
 //   - LogDistance (this package) — the statistical model the paper's
 //     evaluation uses (log-distance path loss, frozen shadowing, per-packet
-//     fading); NewChannel builds it.
+//     fading); NewLogDistance builds it.
 //   - UnitDisk (this package) — idealized reception inside a radius, zero
 //     outside, with an optional gray zone; deterministic where PRR is 0 or
 //     1, which is what exact protocol-invariant tests need.
 //   - trace.Channel (internal/trace) — replays a recorded per-link PRR
 //     matrix loaded from CSV/JSON (e.g. a testbed link-quality snapshot).
-//
-// Connectivity-graph queries (Neighbors, HopDistances, Diameter) are
-// package-level functions over any Radio, derived from PRR, so backends
-// only implement the link model.
 type Radio interface {
 	// NumNodes returns the number of nodes in the environment.
 	NumNodes() int
 	// Params returns the PHY parameterization (airtimes, currents, guard).
 	Params() Params
-	// MeanRSSI returns the average received power at rx for a transmission
-	// from tx, in dBm. Backends without a physical power model synthesize a
-	// value consistent with their PRR (it is informational: protocol code
-	// keys off PRR and reception draws).
-	MeanRSSI(tx, rx int) (float64, error)
-	// PRR returns the long-run packet reception ratio of the directed link
-	// tx→rx.
-	PRR(tx, rx int) (float64, error)
-	// ReceiveSingle draws one reception attempt for a lone transmission
-	// tx→rx.
-	ReceiveSingle(tx, rx int, rng *rand.Rand) (bool, error)
-	// ReceiveConcurrent draws one reception attempt at rx when every node in
-	// transmitters sends the SAME packet in the same synchronized slot (the
-	// Glossy/MiniCast constructive-interference situation).
-	ReceiveConcurrent(rx int, transmitters []int, rng *rand.Rand) (bool, error)
-	// ReceiveConcurrentFast is the hot-path variant of ReceiveConcurrent
-	// whose cost is independent of the transmitter count; the TDMA chain
-	// simulation draws millions of these per round.
-	ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.Rand) (bool, error)
-	// ReceiveCapture draws a reception attempt at rx when the transmitters
-	// carry DIFFERENT packets (a collision); it returns the index into
-	// transmitters of the captured sender, or -1.
-	ReceiveCapture(rx int, transmitters []int, rng *rand.Rand) (int, error)
-	// LinkTable returns the backend's flat link snapshot — the batched
-	// form of the queries above that the flood kernel runs on. The table's
-	// ReceiveConcurrentFast is draw-for-draw identical to the method above
-	// (same RNG consumption, same outcomes) at table-lookup cost. Backends
-	// build the snapshot lazily once and return the same table thereafter;
-	// it is safe for concurrent readers.
+	// LinkTable returns the backend's link snapshot: PRRs, reception draws
+	// and connectivity queries. Backends build it lazily once and return
+	// the same table thereafter; it is safe for concurrent readers.
 	LinkTable() *LinkTable
 }
 
@@ -108,86 +79,4 @@ func IdealParams() Params {
 	p.CTBeatingLoss = 0
 	p.InterferenceBurstProb = 0
 	return p
-}
-
-// Neighbors returns every node whose link PRR from node i meets the
-// threshold, in ascending index order. This is what bootstrapping uses to
-// learn "which neighbor is reachable".
-func Neighbors(r Radio, i int, prrThreshold float64) ([]int, error) {
-	n := r.NumNodes()
-	if i < 0 || i >= n {
-		return nil, indexError(i, i, n)
-	}
-	var out []int
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		prr, err := r.PRR(i, j)
-		if err != nil {
-			return nil, err
-		}
-		if prr >= prrThreshold {
-			out = append(out, j)
-		}
-	}
-	return out, nil
-}
-
-// HopDistances returns the minimum hop count from src to every node over the
-// connectivity graph induced by links with PRR >= prrThreshold. Unreachable
-// nodes get -1. Used to derive network diameter and full-coverage NTX.
-func HopDistances(r Radio, src int, prrThreshold float64) ([]int, error) {
-	n := r.NumNodes()
-	if src < 0 || src >= n {
-		return nil, indexError(src, src, n)
-	}
-	dist := make([]int, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for v := 0; v < n; v++ {
-			if v == u || dist[v] >= 0 {
-				continue
-			}
-			prr, err := r.PRR(u, v)
-			if err != nil {
-				return nil, err
-			}
-			if prr >= prrThreshold {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist, nil
-}
-
-// Diameter returns the maximum finite hop distance between any pair under
-// the PRR threshold, and whether the graph is connected.
-func Diameter(r Radio, prrThreshold float64) (int, bool, error) {
-	n := r.NumNodes()
-	diameter := 0
-	connected := true
-	for src := 0; src < n; src++ {
-		dist, err := HopDistances(r, src, prrThreshold)
-		if err != nil {
-			return 0, false, err
-		}
-		for _, d := range dist {
-			if d < 0 {
-				connected = false
-				continue
-			}
-			if d > diameter {
-				diameter = d
-			}
-		}
-	}
-	return diameter, connected, nil
 }

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 )
 
@@ -18,11 +17,10 @@ import (
 //
 // UnitDisk intentionally has no fading, no constructive-interference gain
 // and no beating loss: concurrent same-packet transmissions succeed iff the
-// best incoming link would, and colliding different packets are never
-// captured unless exactly one transmitter is in range. Note that the
-// ambient-interference burst model (Params.InterferenceBurstProb) is drawn
-// by the protocol layers, not the backend — pass IdealParams (or zero the
-// field) to make UnitDisk executions fully deterministic.
+// best incoming link would. Note that the ambient-interference burst model
+// (Params.InterferenceBurstProb) is drawn by the protocol layers, not the
+// backend — pass IdealParams (or zero the field) to make UnitDisk
+// executions fully deterministic.
 type UnitDisk struct {
 	params    Params
 	positions []Position
@@ -90,33 +88,8 @@ func (u *UnitDisk) Radius() float64 { return u.radius }
 // GrayWidth returns the width of the probabilistic ring beyond the radius.
 func (u *UnitDisk) GrayWidth() float64 { return u.gray }
 
-// MeanRSSI synthesizes a deterministic received power from the log-distance
-// path-loss law without shadowing — informational only; reception is
-// governed purely by the disk geometry.
-func (u *UnitDisk) MeanRSSI(tx, rx int) (float64, error) {
-	if err := checkIndex(tx, rx, len(u.positions)); err != nil {
-		return 0, err
-	}
-	if tx == rx {
-		return math.Inf(-1), nil
-	}
-	d := u.positions[tx].Distance(u.positions[rx])
-	if d < 0.1 {
-		d = 0.1
-	}
-	return u.params.TxPowerDBm - u.params.RefLossDB -
-		10*u.params.PathLossExponent*math.Log10(d), nil
-}
-
-// PRR returns 1 inside the radius, 0 beyond the gray zone, and the linear
-// ramp in between. A node never receives itself.
-func (u *UnitDisk) PRR(tx, rx int) (float64, error) {
-	if err := checkIndex(tx, rx, len(u.positions)); err != nil {
-		return 0, err
-	}
-	return u.prr(tx, rx), nil
-}
-
+// prr is 1 inside the radius, 0 beyond the gray zone, and the linear ramp
+// in between. A node never receives itself.
 func (u *UnitDisk) prr(tx, rx int) float64 {
 	if tx == rx {
 		return 0
@@ -130,46 +103,6 @@ func (u *UnitDisk) prr(tx, rx int) float64 {
 	default:
 		return 0
 	}
-}
-
-// ReceiveSingle draws one reception attempt for a lone transmission tx→rx.
-func (u *UnitDisk) ReceiveSingle(tx, rx int, rng *rand.Rand) (bool, error) {
-	if err := checkIndex(tx, rx, len(u.positions)); err != nil {
-		return false, err
-	}
-	return Draw(u.prr(tx, rx), rng), nil
-}
-
-// ReceiveConcurrent draws one reception attempt at rx for synchronized
-// same-packet transmitters: success iff the best incoming link succeeds
-// (idealized CT — concurrency never hurts, never boosts).
-func (u *UnitDisk) ReceiveConcurrent(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	return u.receiveBest(rx, transmitters, rng)
-}
-
-// ReceiveConcurrentFast is identical to ReceiveConcurrent: the ideal model
-// has no per-transmitter fading to shortcut.
-func (u *UnitDisk) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	return u.receiveBest(rx, transmitters, rng)
-}
-
-func (u *UnitDisk) receiveBest(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	if len(transmitters) == 0 {
-		return false, nil
-	}
-	best := 0.0
-	for _, tx := range transmitters {
-		if err := checkIndex(tx, rx, len(u.positions)); err != nil {
-			return false, err
-		}
-		if tx == rx {
-			return false, nil // a transmitting node cannot receive in the same slot
-		}
-		if p := u.prr(tx, rx); p > best {
-			best = p
-		}
-	}
-	return Draw(best, rng), nil
 }
 
 // LinkTable returns the flat snapshot of the disk geometry: every pairwise
@@ -188,34 +121,4 @@ func (u *UnitDisk) LinkTable() *LinkTable {
 		u.table = BestPRRTable(prr)
 	})
 	return u.table
-}
-
-// ReceiveCapture implements the idealized collision rule: a packet is
-// captured iff exactly one transmitter is within reception range (PRR > 0)
-// of rx and its link draw succeeds; two or more in-range transmitters of
-// different packets always destroy each other (equal idealized powers leave
-// no capture margin).
-func (u *UnitDisk) ReceiveCapture(rx int, transmitters []int, rng *rand.Rand) (int, error) {
-	if len(transmitters) == 0 {
-		return -1, nil
-	}
-	inRange, p := -1, 0.0
-	for i, tx := range transmitters {
-		if err := checkIndex(tx, rx, len(u.positions)); err != nil {
-			return -1, err
-		}
-		if tx == rx {
-			return -1, nil
-		}
-		if q := u.prr(tx, rx); q > 0 {
-			if inRange >= 0 {
-				return -1, nil // collision of two audible packets: no capture
-			}
-			inRange, p = i, q
-		}
-	}
-	if inRange >= 0 && Draw(p, rng) {
-		return inRange, nil
-	}
-	return -1, nil
 }

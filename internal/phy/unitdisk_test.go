@@ -24,13 +24,10 @@ func lineDisk(t *testing.T, n int, spacing, radius, gray float64) *UnitDisk {
 
 func TestUnitDiskPRRExact(t *testing.T) {
 	// Spacing 10, radius 15: only adjacent nodes are connected, exactly.
-	u := lineDisk(t, 5, 10, 15, 0)
+	table := lineDisk(t, 5, 10, 15, 0).LinkTable()
 	for tx := 0; tx < 5; tx++ {
 		for rx := 0; rx < 5; rx++ {
-			prr, err := u.PRR(tx, rx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			prr := table.PRR(tx, rx)
 			want := 0.0
 			if tx != rx && abs(tx-rx) == 1 {
 				want = 1.0
@@ -56,11 +53,9 @@ func TestUnitDiskGrayZoneRamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := u.LinkTable()
 	for i, want := range map[int]float64{1: 1, 2: 0.5, 3: 0, 4: 0} {
-		prr, err := u.PRR(0, i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prr := table.PRR(0, i)
 		if math.Abs(prr-want) > 1e-12 {
 			t.Fatalf("PRR(0,%d) = %v, want %v", i, prr, want)
 		}
@@ -72,10 +67,7 @@ func TestUnitDiskGrayZoneRamp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prr, err := u2.PRR(0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prr := u2.LinkTable().PRR(0, 1)
 		if prr > prev {
 			t.Fatalf("PRR not monotone at distance %v: %v > %v", d, prr, prev)
 		}
@@ -93,11 +85,10 @@ func TestUnitDiskSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := u.LinkTable()
 	for i := range pos {
 		for j := range pos {
-			a, _ := u.PRR(i, j)
-			b, _ := u.PRR(j, i)
-			if a != b {
+			if a, b := table.PRR(i, j), table.PRR(j, i); a != b {
 				t.Fatalf("asymmetric PRR(%d,%d)=%v vs %v", i, j, a, b)
 			}
 		}
@@ -108,67 +99,36 @@ func TestUnitDiskSymmetry(t *testing.T) {
 // outcome (PRR 0 or 1) must be decided without a draw, so a hard disk is
 // fully deterministic.
 func TestUnitDiskHardDiskConsumesNoRandomness(t *testing.T) {
-	u := lineDisk(t, 4, 10, 15, 0)
-	ok, err := u.ReceiveSingle(0, 1, nil)
-	if err != nil || !ok {
-		t.Fatalf("in-range single reception: %v %v", ok, err)
+	table := lineDisk(t, 4, 10, 15, 0).LinkTable()
+	if !table.ReceiveSingle(0, 1, nil) {
+		t.Fatal("in-range single reception failed")
 	}
-	ok, err = u.ReceiveSingle(0, 3, nil)
-	if err != nil || ok {
-		t.Fatalf("out-of-range single reception: %v %v", ok, err)
+	if table.ReceiveSingle(0, 3, nil) {
+		t.Fatal("out-of-range single reception succeeded")
 	}
-	ok, err = u.ReceiveConcurrentFast(2, []int{1, 3}, nil)
-	if err != nil || !ok {
-		t.Fatalf("concurrent in-range reception: %v %v", ok, err)
+	if !table.ReceiveConcurrentFast(2, []int{1, 3}, nil) {
+		t.Fatal("concurrent in-range reception failed")
 	}
-	ok, err = u.ReceiveConcurrent(0, []int{2, 3}, nil)
-	if err != nil || ok {
-		t.Fatalf("concurrent out-of-range reception: %v %v", ok, err)
-	}
-	got, err := u.ReceiveCapture(0, []int{1}, nil)
-	if err != nil || got != 0 {
-		t.Fatalf("single-transmitter capture: %v %v", got, err)
-	}
-}
-
-func TestUnitDiskCaptureCollision(t *testing.T) {
-	// Nodes 1 and 2 are both in range of 0 with different packets: the
-	// idealized model never captures.
-	u := lineDisk(t, 3, 10, 25, 0)
-	got, err := u.ReceiveCapture(0, []int{1, 2}, nil)
-	if err != nil || got != -1 {
-		t.Fatalf("two audible packets captured: %v %v", got, err)
-	}
-	// Node 3 of a longer line is out of range of 0; only node 1 is audible.
-	u = lineDisk(t, 4, 10, 15, 0)
-	got, err = u.ReceiveCapture(0, []int{1, 3}, nil)
-	if err != nil || got != 0 {
-		t.Fatalf("lone audible packet not captured: %v %v", got, err)
+	if table.ReceiveConcurrentFast(0, []int{2, 3}, nil) {
+		t.Fatal("concurrent out-of-range reception succeeded")
 	}
 }
 
 func TestUnitDiskGraphQueries(t *testing.T) {
 	// Adjacent-only line: hop distance from 0 is exactly the index.
-	u := lineDisk(t, 6, 10, 15, 0)
-	dist, err := HopDistances(u, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dist {
+	table := lineDisk(t, 6, 10, 15, 0).LinkTable()
+	for i, d := range table.HopDistances(0, 0.5) {
 		if d != i {
 			t.Fatalf("hop distance of node %d = %d, want %d", i, d, i)
 		}
 	}
-	diam, connected, err := Diameter(u, 0.5)
-	if err != nil || !connected || diam != 5 {
-		t.Fatalf("diameter %d connected=%v err=%v, want 5 true nil", diam, connected, err)
+	if diam, connected := table.Diameter(0.5); !connected || diam != 5 {
+		t.Fatalf("diameter %d connected=%v, want 5 true", diam, connected)
 	}
-	nbrs, err := Neighbors(u, 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbrs) != 2 || nbrs[0] != 1 || nbrs[1] != 3 {
-		t.Fatalf("neighbors of 2 = %v, want [1 3]", nbrs)
+	// Split the line: the diameter spans only the components.
+	table = lineDisk(t, 6, 10, 5, 0).LinkTable()
+	if diam, connected := table.Diameter(0.5); connected || diam != 0 {
+		t.Fatalf("isolated nodes: diameter %d connected=%v, want 0 false", diam, connected)
 	}
 }
 
@@ -185,16 +145,6 @@ func TestUnitDiskValidation(t *testing.T) {
 	}
 	if _, err := NewUnitDisk(IdealParams(), pos, 10, -1); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("negative gray width: %v", err)
-	}
-	u, err := NewUnitDisk(IdealParams(), pos, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := u.PRR(0, 7); !errors.Is(err, ErrNodeIndex) {
-		t.Fatalf("out-of-range index: %v", err)
-	}
-	if _, err := u.ReceiveSingle(-1, 0, nil); !errors.Is(err, ErrNodeIndex) {
-		t.Fatalf("negative index: %v", err)
 	}
 }
 
@@ -221,7 +171,7 @@ func TestUnitDiskFactoryDerivesRadius(t *testing.T) {
 	}
 }
 
-// TestRadioConformance exercises shared Radio semantics across all phy
+// TestRadioConformance exercises shared LinkTable semantics across the phy
 // backends: self-reception never succeeds, transmitting nodes cannot
 // receive, and the PRR diagonal is 0.
 func TestRadioConformance(t *testing.T) {
@@ -236,17 +186,21 @@ func TestRadioConformance(t *testing.T) {
 	}
 	for name, r := range map[string]Radio{"logdist": ld, "unitdisk": ud} {
 		rng := rand.New(rand.NewSource(3))
-		if n := r.NumNodes(); n != 3 {
-			t.Fatalf("%s: NumNodes %d", name, n)
+		table := r.LinkTable()
+		if n := r.NumNodes(); n != 3 || table.NumNodes() != 3 {
+			t.Fatalf("%s: NumNodes %d, table %d", name, n, table.NumNodes())
 		}
-		if prr, err := r.PRR(1, 1); err != nil || prr != 0 {
-			t.Fatalf("%s: self PRR %v %v", name, prr, err)
+		if prr := table.PRR(1, 1); prr != 0 {
+			t.Fatalf("%s: self PRR %v", name, prr)
 		}
-		if ok, err := r.ReceiveConcurrentFast(1, []int{1, 0}, rng); err != nil || ok {
-			t.Fatalf("%s: transmitter received its own slot: %v %v", name, ok, err)
+		if table.ReceiveSingle(1, 1, rng) {
+			t.Fatalf("%s: node received itself", name)
 		}
-		if ok, err := r.ReceiveConcurrent(0, nil, rng); err != nil || ok {
-			t.Fatalf("%s: reception with no transmitters: %v %v", name, ok, err)
+		if table.ReceiveConcurrentFast(1, []int{1, 0}, rng) {
+			t.Fatalf("%s: transmitter received its own slot", name)
+		}
+		if table.ReceiveConcurrentFast(0, nil, rng) {
+			t.Fatalf("%s: reception with no transmitters", name)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -308,82 +307,36 @@ func TestListJobsFilterAndPagination(t *testing.T) {
 }
 
 // TestErrorEnvelopeShape pins the typed error contract: code + field +
-// message for a validation reject, on both the v1 path and the legacy alias.
+// message for a validation reject.
 func TestErrorEnvelopeShape(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), false)
-	for _, path := range []string{"/v1/jobs", "/jobs"} {
-		resp, err := http.Post(f.ts.URL+path, "application/json",
-			strings.NewReader(`{"nodeCounts":[2],"iterations":1}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body errorBody
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if body.Error.Code != codeInvalidArgument || body.Error.Field != "nodeCounts" || body.Error.Message == "" {
-			t.Fatalf("%s: envelope %+v", path, body)
-		}
-	}
-	// Unknown-field rejects name the typoed field.
 	resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"nodeCount":[8],"iterations":1}`))
+		strings.NewReader(`{"nodeCounts":[2],"iterations":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var body errorBody
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if body.Error.Code != codeInvalidArgument || body.Error.Field != "nodeCounts" || body.Error.Message == "" {
+		t.Fatalf("envelope %+v", body)
+	}
+	// Unknown-field rejects name the typoed field.
+	resp, err = http.Post(f.ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"nodeCount":[8],"iterations":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = errorBody{}
 	json.NewDecoder(resp.Body).Decode(&body)
 	resp.Body.Close()
 	if body.Error.Field != "nodeCount" {
 		t.Fatalf("unknown-field envelope: %+v", body)
-	}
-}
-
-// TestLegacyAliasesDeprecated: the unversioned paths still work but carry
-// the Deprecation header; the v1 paths do not.
-func TestLegacyAliasesDeprecated(t *testing.T) {
-	f := newFixture(t, t.TempDir(), t.TempDir(), true)
-	job := f.waitDone(t, f.submit(t, testMatrix()).ID)
-	for _, tc := range []struct {
-		path       string
-		deprecated bool
-	}{
-		{"/healthz", true},
-		{"/jobs/" + job.ID, true},
-		{"/jobs/" + job.ID + "/results", true},
-		{"/v1/healthz", false},
-		{"/v1/jobs/" + job.ID, false},
-		{"/v1/jobs/" + job.ID + "/results", false},
-	} {
-		resp, err := http.Get(f.ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", tc.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Deprecation") == "true"; got != tc.deprecated {
-			t.Errorf("%s: Deprecation header %v, want %v", tc.path, got, tc.deprecated)
-		}
-	}
-	// Legacy and v1 streams are the same bytes.
-	legacyGet := func(p string) []byte {
-		resp, err := http.Get(f.ts.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		return raw
-	}
-	if !bytes.Equal(legacyGet("/jobs/"+job.ID+"/results"), legacyGet("/v1/jobs/"+job.ID+"/results")) {
-		t.Error("legacy and v1 result streams differ")
 	}
 }

@@ -15,8 +15,6 @@
 // Jobs can be canceled (DELETE /v1/jobs/{id}): a queued job dies instantly,
 // a running one has its context canceled — in-flight cells finish, parked
 // cells degenerate to skips — and lands in the terminal `canceled` state.
-// The unversioned paths from the pre-v1 release remain as deprecated
-// aliases for one release.
 //
 // Crash safety composes from the layers below: the store re-queues jobs
 // that were running when the process died, and the Runner's cache prober
@@ -205,21 +203,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	s.mux.HandleFunc("POST /v1/workers/{id}/shards/{job}/{shard}/rows", s.handleShardRows)
 	s.mux.HandleFunc("POST /v1/workers/{id}/shards/{job}/{shard}/done", s.handleShardDone)
-	// The pre-v1 surface: thin aliases kept for one release so existing
-	// scripts keep working. They answer with a Deprecation header pointing
-	// at the v1 successor.
-	legacy := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</v1>; rel="successor-version"`)
-			h(w, r)
-		}
-	}
-	s.mux.HandleFunc("POST /jobs", legacy(s.handleSubmit))
-	s.mux.HandleFunc("GET /jobs/{id}", legacy(s.handleJob))
-	s.mux.HandleFunc("GET /jobs/{id}/results", legacy(s.handleResults))
-	s.mux.HandleFunc("GET /jobs/{id}/events", legacy(s.handleEvents))
-	s.mux.HandleFunc("GET /healthz", legacy(s.handleHealthz))
 	return s, nil
 }
 

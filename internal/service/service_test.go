@@ -76,7 +76,7 @@ func (f *fixture) submit(t *testing.T, m experiment.Matrix) store.Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(f.ts.URL+"/jobs", "application/json", bytes.NewReader(spec))
+	resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -94,7 +94,7 @@ func (f *fixture) submit(t *testing.T, m experiment.Matrix) store.Job {
 
 func (f *fixture) job(t *testing.T, id string) store.Job {
 	t.Helper()
-	resp, err := http.Get(f.ts.URL + "/jobs/" + id)
+	resp, err := http.Get(f.ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatalf("poll: %v", err)
 	}
@@ -128,7 +128,7 @@ func (f *fixture) waitDone(t *testing.T, id string) store.Job {
 
 func (f *fixture) results(t *testing.T, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(f.ts.URL + "/jobs/" + id + "/results")
+	resp, err := http.Get(f.ts.URL + "/v1/jobs/" + id + "/results")
 	if err != nil {
 		t.Fatalf("results: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(f.ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestUnknownJobRoutes(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), false)
-	for _, path := range []string{"/jobs/j999999", "/jobs/j999999/results", "/jobs/j999999/events"} {
+	for _, path := range []string{"/v1/jobs/j999999", "/v1/jobs/j999999/results", "/v1/jobs/j999999/events"} {
 		resp, err := http.Get(f.ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestSSELifecycle(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), false)
 	job := f.submit(t, testMatrix())
 
-	resp, err := http.Get(f.ts.URL + "/jobs/" + job.ID + "/events")
+	resp, err := http.Get(f.ts.URL + "/v1/jobs/" + job.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestSSELifecycle(t *testing.T) {
 	}
 
 	// Churn: a subscriber that connects and immediately goes away.
-	churn, err := http.Get(f.ts.URL + "/jobs/" + job.ID + "/events")
+	churn, err := http.Get(f.ts.URL + "/v1/jobs/" + job.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestSSELifecycle(t *testing.T) {
 func TestSSEAfterCompletion(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), true)
 	job := f.waitDone(t, f.submit(t, testMatrix()).ID)
-	resp, err := http.Get(f.ts.URL + "/jobs/" + job.ID + "/events")
+	resp, err := http.Get(f.ts.URL + "/v1/jobs/" + job.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestDrainMarksInFlightResumable(t *testing.T) {
 func TestHealthz(t *testing.T) {
 	f := newFixture(t, t.TempDir(), t.TempDir(), true)
 	f.waitDone(t, f.submit(t, testMatrix()).ID)
-	resp, err := http.Get(f.ts.URL + "/healthz")
+	resp, err := http.Get(f.ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,12 +173,12 @@ func Simulate(cfg Config, rng *rand.Rand) (*Report, error) {
 	now := time.Duration(0)
 	for round := 1; round <= cfg.Rounds; round++ {
 		// Sync flood at the start of the period.
-		flood, err := glossy.Run(glossy.Config{
+		flood, err := glossy.RunArena(glossy.Config{
 			Channel:      cfg.Channel,
 			Initiator:    cfg.Initiator,
 			NTX:          cfg.NTX,
 			PayloadBytes: 12, // timestamp + metadata
-		}, rng, nil, nil)
+		}, rng, nil, nil, nil, nil)
 		if err != nil {
 			return nil, err
 		}

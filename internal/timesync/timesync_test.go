@@ -10,7 +10,7 @@ import (
 	"iotmpc/internal/topology"
 )
 
-func flockChannel(t *testing.T) *phy.Channel {
+func flockChannel(t *testing.T) *phy.LogDistance {
 	t.Helper()
 	ch, err := topology.FlockLab().Channel(phy.DefaultParams(), 1)
 	if err != nil {
@@ -19,7 +19,7 @@ func flockChannel(t *testing.T) *phy.Channel {
 	return ch
 }
 
-func baseConfig(ch *phy.Channel) Config {
+func baseConfig(ch *phy.LogDistance) Config {
 	return Config{
 		Channel:        ch,
 		Initiator:      0,

@@ -28,26 +28,17 @@ func TestLineConnectivityUnderUnitDisk(t *testing.T) {
 	}
 	// Radius covering exactly one hop: connected with the maximal diameter a
 	// connected n-node graph can have.
-	diam, connected, err := phy.Diameter(unitDisk(t, line, spacing), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected := unitDisk(t, line, spacing).LinkTable().Diameter(0.5)
 	if !connected || diam != n-1 {
 		t.Errorf("one-hop radius: diameter=%d connected=%v, want %d true", diam, connected, n-1)
 	}
 	// Radius covering two hops halves the diameter.
-	diam, connected, err = phy.Diameter(unitDisk(t, line, 2*spacing), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected = unitDisk(t, line, 2*spacing).LinkTable().Diameter(0.5)
 	if !connected || diam != (n-1+1)/2 {
 		t.Errorf("two-hop radius: diameter=%d connected=%v, want %d true", diam, connected, (n-1+1)/2)
 	}
 	// Radius below the spacing disconnects every node from every other.
-	if _, connected, err = phy.Diameter(unitDisk(t, line, spacing/2), 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if connected {
+	if _, connected = unitDisk(t, line, spacing/2).LinkTable().Diameter(0.5); connected {
 		t.Error("sub-spacing radius: graph reported connected")
 	}
 }
@@ -60,10 +51,7 @@ func TestGridConnectivityUnderUnitDisk(t *testing.T) {
 	}
 	// Axis-aligned one-hop radius: the lattice is connected with Manhattan
 	// diameter (diagonal neighbors are √2·spacing away, out of range).
-	diam, connected, err := phy.Diameter(unitDisk(t, grid, spacing), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected := unitDisk(t, grid, spacing).LinkTable().Diameter(0.5)
 	if want := (rows - 1) + (cols - 1); !connected || diam != want {
 		t.Errorf("grid diameter=%d connected=%v, want %d true", diam, connected, want)
 	}
@@ -76,19 +64,13 @@ func TestRandomGeometricConnectivityMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diam, connected, err := phy.Diameter(unitDisk(t, top, 150), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected := unitDisk(t, top, 150).LinkTable().Diameter(0.5)
 	if !connected || diam != 1 {
 		t.Errorf("diagonal radius: diameter=%d connected=%v, want 1 true", diam, connected)
 	}
 	wasConnected := false
 	for _, radius := range []float64{5, 15, 30, 60, 150} {
-		_, connected, err := phy.Diameter(unitDisk(t, top, radius), 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, connected := unitDisk(t, top, radius).LinkTable().Diameter(0.5)
 		if wasConnected && !connected {
 			t.Fatalf("radius %f disconnected a layout a smaller radius connected", radius)
 		}
@@ -116,8 +98,8 @@ func TestSubsetPreservesPrefixGeometry(t *testing.T) {
 			t.Fatalf("subset node %d moved: %+v != %+v", i, p, parent.Positions[i])
 		}
 	}
-	if _, _, err := phy.Diameter(unitDisk(t, sub, 120), 0.5); err != nil {
-		t.Fatal(err)
+	if n := unitDisk(t, sub, 120).NumNodes(); n != 12 {
+		t.Fatalf("subset radio has %d nodes, want 12", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package topology provides node layouts for the simulated testbeds the
 // paper evaluates on (FlockLab with 26 nodes, D-Cube with 45 nodes) plus
 // generic generators (line, grid, random geometric) used by tests and
-// ablations. A Topology is pure geometry; radio semantics come from
-// internal/phy.Channel built on top of it.
+// ablations. A Topology is pure geometry; radio semantics come from a
+// phy.Radio backend built on top of it.
 package topology
 
 import (
@@ -32,9 +32,9 @@ type Topology struct {
 // NumNodes returns the node count.
 func (t Topology) NumNodes() int { return len(t.Positions) }
 
-// Channel builds the radio environment for the layout.
-func (t Topology) Channel(params phy.Params, seed int64) (*phy.Channel, error) {
-	ch, err := phy.NewChannel(params, t.Positions, seed)
+// Channel builds the log-distance radio environment for the layout.
+func (t Topology) Channel(params phy.Params, seed int64) (*phy.LogDistance, error) {
+	ch, err := phy.NewLogDistance(params, t.Positions, seed)
 	if err != nil {
 		return nil, fmt.Errorf("topology %q: %w", t.Name, err)
 	}

@@ -16,10 +16,7 @@ func TestFlockLabShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diam, connected, err := ch.Diameter(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected := ch.LinkTable().Diameter(0.8)
 	if !connected {
 		t.Fatal("FlockLab model disconnected at PRR 0.8")
 	}
@@ -37,10 +34,7 @@ func TestDCubeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diam, connected, err := ch.Diameter(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diam, connected := ch.LinkTable().Diameter(0.8)
 	if !connected {
 		t.Fatal("DCube model disconnected at PRR 0.8")
 	}
@@ -59,14 +53,8 @@ func TestDCubeDeeperThanFlockLab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flDiam, _, err := flCh.Diameter(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcDiam, _, err := dcCh.Diameter(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flDiam, _ := flCh.LinkTable().Diameter(0.8)
+	dcDiam, _ := dcCh.LinkTable().Diameter(0.8)
 	if dcDiam <= flDiam {
 		t.Errorf("DCube diameter %d <= FlockLab %d; want deeper network", dcDiam, flDiam)
 	}

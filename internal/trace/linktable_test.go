@@ -7,11 +7,12 @@ import (
 	"iotmpc/internal/phy"
 )
 
-// TestLinkTableMatchesTraceChannel pins the third backend's table to its
-// Radio methods: identical PRRs, identical union-probability draws on
-// identical RNG streams (the union product folds links in transmitter-list
-// order, so even the floating-point rounding must agree), and certain
-// links consuming no randomness.
+// TestLinkTableMatchesTraceChannel pins the third backend's table to the
+// oracles of reference_test.go: identical PRRs, hop distances and
+// diameters, and identical single and union-probability draws on
+// identical RNG streams (the union product folds links in
+// transmitter-list order, so even the floating-point rounding must
+// agree), with the streams still aligned at the end.
 func TestLinkTableMatchesTraceChannel(t *testing.T) {
 	tr, err := Bundled("testbed10")
 	if err != nil {
@@ -31,46 +32,51 @@ func TestLinkTableMatchesTraceChannel(t *testing.T) {
 	}
 	for tx := 0; tx < n; tx++ {
 		for rx := 0; rx < n; rx++ {
-			want, err := ch.PRR(tx, rx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := table.PRR(tx, rx); got != want {
-				t.Fatalf("PRR(%d,%d): table %v, trace %v", tx, rx, got, want)
+			if got, want := table.PRR(tx, rx), refPRR(ch, tx, rx); got != want {
+				t.Fatalf("PRR(%d,%d): table %v, reference %v", tx, rx, got, want)
 			}
 		}
 	}
 	for _, threshold := range []float64{0.3, 0.5, 0.9} {
-		want, err := phy.HopDistances(ch, 0, threshold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := table.HopDistances(0, threshold)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("HopDistances(th=%.1f)[%d]: table %d, trace %d", threshold, i, got[i], want[i])
+		for src := 0; src < n; src++ {
+			want := refHopDistances(ch, src, threshold)
+			got := table.HopDistances(src, threshold)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("HopDistances(src=%d, th=%.1f)[%d]: table %d, reference %d",
+						src, threshold, i, got[i], want[i])
+				}
 			}
+		}
+		wantDiam, wantConn := refDiameter(ch, threshold)
+		if gotDiam, gotConn := table.Diameter(threshold); gotDiam != wantDiam || gotConn != wantConn {
+			t.Fatalf("Diameter(th=%.1f): table %d/%v, reference %d/%v",
+				threshold, gotDiam, gotConn, wantDiam, wantConn)
 		}
 	}
 
+	// Interleaved single and concurrent draws; sets may contain the
+	// receiver and duplicates.
 	direct := rand.New(rand.NewSource(11))
 	tabled := rand.New(rand.NewSource(11))
 	pick := rand.New(rand.NewSource(3))
-	set := make([]int, 0, n)
+	set := make([]int, 0, n+1)
 	for trial := 0; trial < 4000; trial++ {
 		rx := pick.Intn(n)
-		set = set[:0]
-		for node := 0; node < n; node++ {
-			if pick.Intn(n) < 3 {
-				set = append(set, node)
+		if trial%3 == 0 {
+			tx := pick.Intn(n)
+			if got, want := table.ReceiveSingle(tx, rx, tabled), refReceiveSingle(ch, tx, rx, direct); got != want {
+				t.Fatalf("trial %d: single %d→%d: table %v, reference %v", trial, tx, rx, got, want)
 			}
+			continue
 		}
-		want, err := ch.ReceiveConcurrentFast(rx, set, direct)
-		if err != nil {
-			t.Fatal(err)
+		set = set[:0]
+		for k := pick.Intn(n + 2); k > 0; k-- {
+			set = append(set, pick.Intn(n))
 		}
+		want := refReceiveConcurrentFast(ch, rx, set, direct)
 		if got := table.ReceiveConcurrentFast(rx, set, tabled); got != want {
-			t.Fatalf("trial %d: rx=%d txers=%v: table %v, trace %v", trial, rx, set, got, want)
+			t.Fatalf("trial %d: rx=%d txers=%v: table %v, reference %v", trial, rx, set, got, want)
 		}
 	}
 	if direct.Int63() != tabled.Int63() {

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 
 	"iotmpc/internal/phy"
@@ -14,7 +12,7 @@ import (
 // model. Reception draws are Bernoulli in the recorded per-link ratios;
 // concurrent same-packet transmissions succeed with the union probability of
 // the individual links (independent receptions — the trace records no
-// constructive-interference structure). As with every backend, certain
+// constructive-interference structure). As with UnitDisk, certain
 // outcomes (PRR 0 or 1) consume no randomness.
 type Channel struct {
 	params phy.Params
@@ -70,128 +68,10 @@ func (c *Channel) NumNodes() int { return c.tr.Nodes }
 // Params returns the PHY parameterization of the backend.
 func (c *Channel) Params() phy.Params { return c.params }
 
-// PRR returns the recorded reception ratio of the directed link tx→rx.
-func (c *Channel) PRR(tx, rx int) (float64, error) {
-	if err := c.checkIndex(tx, rx); err != nil {
-		return 0, err
-	}
-	if tx == rx {
-		return 0, nil
-	}
-	return c.tr.PRR[tx][rx], nil
-}
-
-// MeanRSSI synthesizes a received power from the recorded PRR by inverting
-// the log-distance model's RSSI→PRR sigmoid (clamped to ±6 widths around
-// the midpoint). Informational only: reception replays the trace directly.
-func (c *Channel) MeanRSSI(tx, rx int) (float64, error) {
-	if err := c.checkIndex(tx, rx); err != nil {
-		return 0, err
-	}
-	if tx == rx {
-		return math.Inf(-1), nil
-	}
-	p := c.tr.PRR[tx][rx]
-	if p <= 0 {
-		return c.params.SensitivityDBm - 1, nil // below the reception floor
-	}
-	const clampWidths = 6.0
-	logit := math.Log(p / (1 - p))
-	if p >= 1 || logit > clampWidths {
-		logit = clampWidths
-	} else if logit < -clampWidths {
-		logit = -clampWidths
-	}
-	return c.params.PRRMidpointDBm + c.params.PRRWidthDB*logit, nil
-}
-
-// ReceiveSingle draws one reception attempt for a lone transmission tx→rx.
-func (c *Channel) ReceiveSingle(tx, rx int, rng *rand.Rand) (bool, error) {
-	if err := c.checkIndex(tx, rx); err != nil {
-		return false, err
-	}
-	if tx == rx {
-		return false, nil
-	}
-	return phy.Draw(c.tr.PRR[tx][rx], rng), nil
-}
-
-// ReceiveConcurrent draws one reception attempt at rx for synchronized
-// same-packet transmitters: the union probability 1 − Π(1 − PRRᵢ) of the
-// individual recorded links.
-func (c *Channel) ReceiveConcurrent(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	return c.receiveUnion(rx, transmitters, rng)
-}
-
-// ReceiveConcurrentFast is identical to ReceiveConcurrent: replay has no
-// per-transmitter fading to shortcut.
-func (c *Channel) ReceiveConcurrentFast(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	return c.receiveUnion(rx, transmitters, rng)
-}
-
-func (c *Channel) receiveUnion(rx int, transmitters []int, rng *rand.Rand) (bool, error) {
-	if len(transmitters) == 0 {
-		return false, nil
-	}
-	miss := 1.0
-	for _, tx := range transmitters {
-		if err := c.checkIndex(tx, rx); err != nil {
-			return false, err
-		}
-		if tx == rx {
-			return false, nil // a transmitting node cannot receive in the same slot
-		}
-		miss *= 1 - c.tr.PRR[tx][rx]
-	}
-	return phy.Draw(1-miss, rng), nil
-}
-
 // LinkTable returns the flat snapshot of the recorded PRR matrix, whose
 // concurrent receptions draw on the union probability of independent links
 // — exactly this backend's semantics. Built lazily once.
 func (c *Channel) LinkTable() *phy.LinkTable {
 	c.tableOnce.Do(func() { c.table = phy.UnionPRRTable(c.tr.PRR) })
 	return c.table
-}
-
-// ReceiveCapture draws a collision of different packets: the best recorded
-// link is captured iff it arrives AND no other transmitter's packet does
-// (probability PRR_best × Π_others(1 − PRRᵢ)); a single draw decides.
-func (c *Channel) ReceiveCapture(rx int, transmitters []int, rng *rand.Rand) (int, error) {
-	if len(transmitters) == 0 {
-		return -1, nil
-	}
-	bestIdx, best := -1, 0.0
-	for i, tx := range transmitters {
-		if err := c.checkIndex(tx, rx); err != nil {
-			return -1, err
-		}
-		if tx == rx {
-			return -1, nil
-		}
-		if p := c.tr.PRR[tx][rx]; p > best {
-			best, bestIdx = p, i
-		}
-	}
-	if bestIdx < 0 {
-		return -1, nil
-	}
-	pCapture := best
-	for i, tx := range transmitters {
-		if i != bestIdx {
-			pCapture *= 1 - c.tr.PRR[tx][rx]
-		}
-	}
-	if phy.Draw(pCapture, rng) {
-		return bestIdx, nil
-	}
-	return -1, nil
-}
-
-func (c *Channel) checkIndex(a, b int) error {
-	n := c.tr.Nodes
-	if a < 0 || a >= n || b < 0 || b >= n {
-		return fmt.Errorf("%w: (%d,%d) with %d nodes", phy.ErrNodeIndex, a, b, n)
-	}
-	return nil
 }

@@ -32,16 +32,9 @@ func TestChannelReplaysPRR(t *testing.T) {
 		tx, rx int
 		want   float64
 	}{{0, 1, 0.9}, {1, 0, 0.8}, {0, 2, 0.25}, {2, 0, 0}, {1, 1, 0}} {
-		prr, err := ch.PRR(tc.tx, tc.rx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prr != tc.want {
+		if prr := ch.LinkTable().PRR(tc.tx, tc.rx); prr != tc.want {
 			t.Fatalf("PRR(%d,%d) = %v, want %v", tc.tx, tc.rx, prr, tc.want)
 		}
-	}
-	if _, err := ch.PRR(0, 9); !errors.Is(err, phy.ErrNodeIndex) {
-		t.Fatalf("out of range: %v", err)
 	}
 }
 
@@ -55,14 +48,15 @@ func TestChannelCertainOutcomesConsumeNoRandomness(t *testing.T) {
 		t.Fatal(err)
 	}
 	// PRR 1 and PRR 0 links decide without touching the (nil) RNG.
-	if ok, err := ch.ReceiveSingle(0, 1, nil); err != nil || !ok {
-		t.Fatalf("certain link: %v %v", ok, err)
+	table := ch.LinkTable()
+	if !table.ReceiveSingle(0, 1, nil) {
+		t.Fatal("certain link failed")
 	}
-	if ok, err := ch.ReceiveSingle(1, 2, nil); err != nil || ok {
-		t.Fatalf("absent link: %v %v", ok, err)
+	if table.ReceiveSingle(1, 2, nil) {
+		t.Fatal("absent link delivered")
 	}
-	if ok, err := ch.ReceiveConcurrentFast(1, []int{0, 2}, nil); err != nil || !ok {
-		t.Fatalf("union with a certain link: %v %v", ok, err)
+	if !table.ReceiveConcurrentFast(1, []int{0, 2}, nil) {
+		t.Fatal("union with a certain link failed")
 	}
 }
 
@@ -78,71 +72,18 @@ func TestChannelUnionReception(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := ch.LinkTable()
 	rng := rand.New(rand.NewSource(11))
 	const trials = 20000
 	got := 0
 	for i := 0; i < trials; i++ {
-		ok, err := ch.ReceiveConcurrent(1, []int{0, 2}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
+		if table.ReceiveConcurrentFast(1, []int{0, 2}, rng) {
 			got++
 		}
 	}
 	rate := float64(got) / trials
 	if math.Abs(rate-0.75) > 0.02 {
 		t.Fatalf("union reception rate %v, want ≈0.75", rate)
-	}
-}
-
-func TestChannelMeanRSSIMonotoneInPRR(t *testing.T) {
-	ch := triChannel(t)
-	strong, err := ch.MeanRSSI(0, 1) // PRR 0.9
-	if err != nil {
-		t.Fatal(err)
-	}
-	weak, err := ch.MeanRSSI(0, 2) // PRR 0.25
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead, err := ch.MeanRSSI(2, 0) // PRR 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(strong > weak && weak > dead) {
-		t.Fatalf("RSSI not monotone in PRR: %v %v %v", strong, weak, dead)
-	}
-	if dead >= ch.Params().SensitivityDBm {
-		t.Fatalf("dead link RSSI %v above sensitivity", dead)
-	}
-	self, err := ch.MeanRSSI(1, 1)
-	if err != nil || !math.IsInf(self, -1) {
-		t.Fatalf("self RSSI %v %v", self, err)
-	}
-}
-
-func TestChannelCapture(t *testing.T) {
-	// Node 1 hears 0 at 0.9; 2→1 at 0.5. The 0.9 link is the capture
-	// candidate; a lone out-of-range transmitter is never captured.
-	ch := triChannel(t)
-	rng := rand.New(rand.NewSource(3))
-	sawCapture := false
-	for i := 0; i < 200; i++ {
-		got, err := ch.ReceiveCapture(1, []int{0, 2}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got == 1 {
-			t.Fatal("captured the weaker transmitter")
-		}
-		sawCapture = sawCapture || got == 0
-	}
-	if !sawCapture {
-		t.Fatal("strong link never captured in 200 draws")
-	}
-	if got, err := ch.ReceiveCapture(0, []int{2}, nil); err != nil || got != -1 {
-		t.Fatalf("dead-link capture: %v %v", got, err)
 	}
 }
 
@@ -171,25 +112,17 @@ func TestChannelDeterministicReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	table := ch.LinkTable()
 	run := func() []bool {
 		rng := rand.New(rand.NewSource(42))
 		var out []bool
 		for rx := 0; rx < ch.NumNodes(); rx++ {
 			for tx := 0; tx < ch.NumNodes(); tx++ {
-				if tx == rx {
-					continue
+				if tx != rx {
+					out = append(out, table.ReceiveSingle(tx, rx, rng))
 				}
-				ok, err := ch.ReceiveSingle(tx, rx, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, ok)
 			}
-			ok, err := ch.ReceiveConcurrentFast(rx, []int{(rx + 1) % ch.NumNodes()}, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, ok)
+			out = append(out, table.ReceiveConcurrentFast(rx, []int{(rx + 1) % ch.NumNodes()}, rng))
 		}
 		return out
 	}
@@ -198,8 +131,8 @@ func TestChannelDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestChannelGraphQueries drives the shared phy graph helpers over the
-// trace backend: the bundled line5 trace is a line at threshold 0.5.
+// TestChannelGraphQueries drives the table's graph queries over the trace
+// backend: the bundled line5 trace is a line at threshold 0.5.
 func TestChannelGraphQueries(t *testing.T) {
 	tr, err := Bundled("line5")
 	if err != nil {
@@ -209,18 +142,14 @@ func TestChannelGraphQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := phy.HopDistances(ch, 0, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range dist {
+	table := ch.LinkTable()
+	for i, d := range table.HopDistances(0, 0.5) {
 		if d != i {
 			t.Fatalf("hop distance of node %d = %d, want %d", i, d, i)
 		}
 	}
-	diam, connected, err := phy.Diameter(ch, 0.5)
-	if err != nil || !connected || diam != 4 {
-		t.Fatalf("diameter %d connected=%v err=%v, want 4 true", diam, connected, err)
+	if diam, connected := table.Diameter(0.5); !connected || diam != 4 {
+		t.Fatalf("diameter %d connected=%v, want 4 true", diam, connected)
 	}
 }
 
