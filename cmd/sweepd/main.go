@@ -25,7 +25,10 @@
 // The coordinator partitions each job into shards, leases them to workers
 // over heartbeats, re-queues a shard (with exponential backoff) when its
 // worker's lease expires, and merges the rows workers stream back — the
-// job's result stream stays byte-identical to a solo run. -chaos injects
+// job's result stream stays byte-identical to a solo run. An idle worker's
+// heartbeat is held open until there is a shard for it (at most a third of
+// the lease), and a worker polls again as soon as it finishes a shard, so
+// grants do not wait for heartbeat ticks. -chaos injects
 // worker-side faults (heartbeat drops, delays, mid-shard crashes) for
 // testing the fault-tolerance machinery.
 //
@@ -158,7 +161,15 @@ func run(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "sweepd: listening on %s (%s, store %s, cache %s)\n", ln.Addr(), role, *storeDir, *cacheDir)
 
-	httpSrv := &http.Server{Handler: svc.Handler()}
+	// Requests see the drain begin through their context, so held worker
+	// heartbeats and SSE streams end at once instead of holding Shutdown.
+	reqCtx, endRequests := context.WithCancel(context.Background())
+	defer endRequests()
+	httpSrv := &http.Server{
+		Handler:     svc.Handler(),
+		BaseContext: func(net.Listener) context.Context { return reqCtx },
+	}
+	httpSrv.RegisterOnShutdown(endRequests)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -173,8 +184,8 @@ func run(args []string) error {
 		shutCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		if httpSrv.Shutdown(shutCtx) != nil {
-			// An SSE subscriber never goes idle, so Shutdown can only time
-			// out on it; force-close the lingering streams.
+			// A response still streaming past the grace period is
+			// force-closed.
 			httpSrv.Close()
 		}
 		svc.Close()

@@ -242,3 +242,82 @@ func TestRunServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal("daemon did not drain after SIGTERM")
 	}
 }
+
+// TestCoordinatorDrainReleasesHeldHeartbeat: SIGTERM on a coordinator whose
+// idle worker holds a long-poll heartbeat drains at once. The 15s default
+// lease would hold that heartbeat for 5s; the drain must not wait it out.
+func TestCoordinatorDrainReleasesHeldHeartbeat(t *testing.T) {
+	guard := make(chan os.Signal, 1)
+	signal.Notify(guard, syscall.SIGTERM)
+	defer signal.Stop(guard)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- run([]string{"-coordinator", "-addr", addr, "-cache", t.TempDir(), "-store", t.TempDir()})
+	}()
+
+	base := "http://" + addr
+	deadline := time.Now().Add(10 * time.Second)
+	var resp *http.Response
+	for {
+		resp, err = http.Post(base+"/v1/workers", "application/json", strings.NewReader(`{"name":"idle"}`))
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never came up")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	var worker struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&worker); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	answered := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/workers/%s/heartbeat", base, worker.ID),
+			"application/json", strings.NewReader(`{"running":[]}`))
+		if err != nil {
+			answered <- 0
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.StatusCode
+	}()
+	time.Sleep(100 * time.Millisecond)
+	select {
+	case status := <-answered:
+		t.Fatalf("idle heartbeat answered without work: status %d", status)
+	default:
+	}
+
+	start := time.Now()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("drain returned %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not drain after SIGTERM")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("drain took %v with a held heartbeat open", d)
+	}
+	if status := <-answered; status != http.StatusOK {
+		t.Fatalf("held heartbeat on drain: status %d", status)
+	}
+}

@@ -12,7 +12,10 @@ package service
 // at a time), so a lost response, a canceled job, or a withdrawn shard all
 // resolve the same way — the next heartbeat's list is the truth and the
 // worker reconciles against it. The coordinator never calls into workers,
-// which keeps them free to sit behind NAT or come and go at will.
+// which keeps them free to sit behind NAT or come and go at will. An idle
+// worker's heartbeat is a long poll: the coordinator holds it open until
+// there is a shard to grant (see awaitGrant), so new work reaches an idle
+// fleet as soon as it is admitted instead of on the next heartbeat tick.
 //
 // Byte-identity survives distribution for the same reason it survives
 // sharded CLI runs: every cell's randomness descends from its per-scenario
@@ -28,8 +31,10 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -44,12 +49,17 @@ import (
 // Dispatch defaults: a worker missing leaseTTLDefault of heartbeats loses
 // its shards; a shard failing repeatedly waits backoffBase·2^(attempts-1)
 // (capped at backoffMax, half-jittered) before re-dispatch; and
-// maxShardAttemptsDefault grants without a completion fail the job.
+// maxShardAttemptsDefault grants without a completion fail the job. A held
+// idle heartbeat is answered after at most a third of the lease TTL — one
+// default heartbeat interval, so a worker on the default cadence finds its
+// next tick already due and keeps a poll open — and never after more than
+// holdMax, which stays well under the worker client's 30s timeout.
 const (
 	leaseTTLDefault         = 15 * time.Second
 	backoffBaseDefault      = time.Second
 	backoffMaxDefault       = 30 * time.Second
 	maxShardAttemptsDefault = 5
+	holdMax                 = 20 * time.Second
 )
 
 // ShardError is the typed failure a job records when one shard exhausts its
@@ -91,6 +101,15 @@ type shardGrant struct {
 	Total   int             `json:"total"`
 	Attempt int             `json:"attempt"`
 	Spec    json.RawMessage `json:"spec"`
+}
+
+// heartbeatRequest is the optional heartbeat body: the grant keys
+// (job/shard/attempt) of the shards the worker is executing. An empty list
+// says the worker is idle, which lets the coordinator hold the heartbeat
+// until it has work; an absent list (no body, as older workers and
+// hand-driven heartbeats send) is answered at once.
+type heartbeatRequest struct {
+	Running []string `json:"running"`
 }
 
 // heartbeatResponse carries the worker's complete current assignment list;
@@ -148,10 +167,19 @@ type dispatchJob struct {
 	finished bool
 }
 
+// dispatchStore is the part of *store.Store the dispatcher reads and
+// writes; tests substitute one whose assignment writes fail.
+type dispatchStore interface {
+	Row(key string) ([]byte, bool)
+	PutRow(key string, row []byte) error
+	Assignments(id string) ([]store.ShardAssignment, bool)
+	SetAssignments(id string, assigns []store.ShardAssignment, sync bool) error
+}
+
 // dispatcher is the coordinator: worker registry plus active dispatch jobs.
 // All fields behind mu; handlers and the lease scan share it.
 type dispatcher struct {
-	store       *store.Store
+	store       dispatchStore
 	leaseTTL    time.Duration
 	backoffBase time.Duration
 	backoffMax  time.Duration
@@ -161,6 +189,7 @@ type dispatcher struct {
 	seq     int
 	workers map[string]*workerState
 	jobs    map[string]*dispatchJob
+	changed chan struct{} // closed and replaced when pending work appears
 }
 
 func newDispatcher(cfg Config) *dispatcher {
@@ -172,6 +201,7 @@ func newDispatcher(cfg Config) *dispatcher {
 		maxAttempts: cfg.MaxShardAttempts,
 		workers:     make(map[string]*workerState),
 		jobs:        make(map[string]*dispatchJob),
+		changed:     make(chan struct{}),
 	}
 	if d.leaseTTL <= 0 {
 		d.leaseTTL = leaseTTLDefault
@@ -254,9 +284,18 @@ func (d *dispatcher) admit(id string, spec json.RawMessage, keys []string) (*dis
 	terminal := dj.assigns != nil && dj.allDone()
 	if terminal {
 		dj.finish(nil)
+	} else {
+		d.broadcast()
 	}
 	d.mu.Unlock()
 	return dj, nil
+}
+
+// broadcast wakes every held heartbeat to re-evaluate its grant list: new
+// pending shards exist. Caller holds d.mu.
+func (d *dispatcher) broadcast() {
+	close(d.changed)
+	d.changed = make(chan struct{})
 }
 
 // remove forgets a job once its run loop has observed the terminal state.
@@ -269,13 +308,14 @@ func (d *dispatcher) remove(id string) {
 // withdraw pulls a job out of dispatch before completion (cancel or drain):
 // assigned shards return to pending immediately — the workers learn from
 // their next heartbeat's empty grant list — and the assignment state is
-// persisted so a resume re-dispatches exactly the unfinished shards.
-func (d *dispatcher) withdraw(id string) {
+// persisted so a resume re-dispatches exactly the unfinished shards. The
+// error is a store failure.
+func (d *dispatcher) withdraw(id string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	dj := d.jobs[id]
 	if dj == nil {
-		return
+		return nil
 	}
 	delete(d.jobs, id)
 	changed := false
@@ -289,8 +329,9 @@ func (d *dispatcher) withdraw(id string) {
 		}
 	}
 	if changed {
-		d.store.SetAssignments(id, dj.assigns, true)
+		return d.store.SetAssignments(id, dj.assigns, true)
 	}
+	return nil
 }
 
 // allDone reports whether every shard is done. Caller holds d.mu and the
@@ -337,6 +378,11 @@ func (d *dispatcher) register(name string) workerInfo {
 func (d *dispatcher) heartbeat(workerID string) (grants []shardGrant, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.heartbeatLocked(workerID)
+}
+
+// heartbeatLocked is heartbeat with d.mu held.
+func (d *dispatcher) heartbeatLocked(workerID string) (grants []shardGrant, ok bool, err error) {
 	w := d.workers[workerID]
 	if w == nil {
 		return nil, false, nil
@@ -390,6 +436,74 @@ func (d *dispatcher) heartbeat(workerID string) (grants []shardGrant, ok bool, e
 		}
 	}
 	return grants, true, nil
+}
+
+// awaitGrant is heartbeat for a worker that reported itself idle: while
+// the worker holds no grant and nothing is grantable, the answer waits. It
+// is re-evaluated whenever new pending work appears (admit, or a re-queue
+// in scan) and when the earliest backed-off shard becomes eligible, and it
+// returns the current list — renewing the lease again — after the hold
+// bound at the latest, so lease renewal never depends on the hold. A client
+// that goes away (ctx) or a coordinator shutting down (stop) ends the hold
+// with no grant: work handed out then would only sit until its lease
+// expired.
+func (d *dispatcher) awaitGrant(ctx context.Context, stop <-chan struct{}, workerID string) (grants []shardGrant, ok bool, err error) {
+	bound := time.NewTimer(d.holdBound())
+	defer bound.Stop()
+	eligible := time.NewTimer(time.Hour)
+	eligible.Stop()
+	defer eligible.Stop()
+	for {
+		d.mu.Lock()
+		grants, ok, err = d.heartbeatLocked(workerID)
+		if !ok || err != nil || len(grants) > 0 {
+			d.mu.Unlock()
+			return grants, ok, err
+		}
+		changed := d.changed
+		next := d.nextEligible()
+		d.mu.Unlock()
+
+		var eligibleC <-chan time.Time
+		if next > 0 {
+			eligible.Reset(time.Until(time.UnixMilli(next)))
+			eligibleC = eligible.C
+		}
+		select {
+		case <-changed:
+		case <-eligibleC:
+		case <-bound.C:
+			return d.heartbeat(workerID)
+		case <-ctx.Done():
+			return nil, true, nil
+		case <-stop:
+			return []shardGrant{}, true, nil
+		}
+	}
+}
+
+// holdBound is the longest a held heartbeat goes unanswered.
+func (d *dispatcher) holdBound() time.Duration {
+	return min(d.leaseTTL/3, holdMax)
+}
+
+// nextEligible returns the earliest NextEligible (Unix ms) of any pending,
+// backed-off shard of an unfinished job, or 0 if none waits. Caller holds
+// d.mu, just after a heartbeat found nothing grantable — so every pending
+// shard it sees lies in the future.
+func (d *dispatcher) nextEligible() int64 {
+	var next int64
+	for _, dj := range d.jobs {
+		if dj.finished {
+			continue
+		}
+		for _, a := range dj.assigns {
+			if a.State == store.ShardPending && a.NextEligible > 0 && (next == 0 || a.NextEligible < next) {
+				next = a.NextEligible
+			}
+		}
+	}
+	return next
 }
 
 // jobIDs returns the active dispatch jobs oldest-first (IDs are sequential),
@@ -520,11 +634,12 @@ func (d *dispatcher) shardDone(jobID string, shard int, sum experiment.RunSummar
 // scan is the lease-expiry pass, run on a timer while the coordinator is
 // up: a worker past its deadline is dropped and every shard it held is
 // re-queued with backoff — or, at the attempt cap, fails its whole job with
-// a ShardError naming the shard.
-func (d *dispatcher) scan() {
+// a ShardError naming the shard. The error is a store failure.
+func (d *dispatcher) scan() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := time.Now()
+	requeued := false
 	for id, w := range d.workers {
 		if w.deadline.After(now) {
 			continue
@@ -550,12 +665,19 @@ func (d *dispatcher) scan() {
 				delay := d.backoff(a.Attempts)
 				a.NextEligible = now.Add(delay).UnixMilli()
 				a.Error = fmt.Sprintf("attempt %d lease expired (worker %s); next eligible in %s", a.Attempts, id, delay.Round(time.Millisecond))
+				requeued = true
 			}
 			if changed {
-				d.store.SetAssignments(jobID, dj.assigns, false)
+				if err := d.store.SetAssignments(jobID, dj.assigns, false); err != nil {
+					return err
+				}
 			}
 		}
 	}
+	if requeued {
+		d.broadcast()
+	}
+	return nil
 }
 
 // workerHealth is one registered worker's entry in the healthz body.
@@ -626,13 +748,27 @@ func (s *Server) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleWorkerHeartbeat is POST /v1/workers/{id}/heartbeat: renew the lease,
-// return the worker's complete grant list. 410 means the registration is
-// gone — the worker re-registers and starts fresh.
+// return the worker's complete grant list. A worker whose body reports an
+// empty running set is idle, and its answer is held until there is work
+// (dispatcher.awaitGrant). 410 means the registration is gone — the worker
+// re-registers and starts fresh.
 func (s *Server) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCoordinator(w) {
 		return
 	}
-	grants, ok, err := s.disp.heartbeat(r.PathValue("id"))
+	var req heartbeatRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&req); err != nil && err != io.EOF {
+		httpError(w, http.StatusBadRequest, codeInvalidArgument, "", "decode heartbeat: "+err.Error())
+		return
+	}
+	var grants []shardGrant
+	var ok bool
+	var err error
+	if req.Running != nil && len(req.Running) == 0 {
+		grants, ok, err = s.disp.awaitGrant(r.Context(), s.ctx.Done(), r.PathValue("id"))
+	} else {
+		grants, ok, err = s.disp.heartbeat(r.PathValue("id"))
+	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, codeInternal, "", err.Error())
 		return
@@ -727,7 +863,10 @@ func (s *Server) runJobDispatch(id string, aj *activeJob, job store.Job, m exper
 	}
 	select {
 	case <-aj.ctx.Done():
-		s.disp.withdraw(id)
+		if err := s.disp.withdraw(id); err != nil {
+			s.unclaim(id)
+			return err
+		}
 		sum, _ := s.disp.verdict(dj)
 		if s.unclaim(id) {
 			return s.finishJob(id, store.Canceled,
@@ -763,7 +902,9 @@ func (d *dispatcher) verdict(dj *dispatchJob) (dispatchVerdict, error) {
 	return dispatchVerdict{Summary: dj.summary, Completed: dj.completed}, dj.err
 }
 
-// scanLoop drives lease expiry while the coordinator runs.
+// scanLoop drives lease expiry while the coordinator runs. A store write
+// failure stops the scheduler, as in runLoop: re-queues that cannot be
+// persisted would leave the store lying about who holds which shard.
 func (s *Server) scanLoop(every time.Duration) {
 	defer s.wg.Done()
 	ticker := time.NewTicker(every)
@@ -773,7 +914,10 @@ func (s *Server) scanLoop(every time.Duration) {
 		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
-			s.disp.scan()
+			if err := s.disp.scan(); err != nil {
+				s.cancel()
+				return
+			}
 		}
 	}
 }

@@ -62,22 +62,30 @@ func newCoordFixture(t *testing.T, storeDir, cacheDir string, mutate func(*Confi
 // stop function (idempotent; also registered as cleanup).
 func startWorker(t *testing.T, f *fixture, name, cacheDir string, chaos *Chaos) (stop func()) {
 	t.Helper()
-	w, err := NewWorker(WorkerConfig{
+	_, stop = runWorker(t, WorkerConfig{
 		Coordinator:    f.ts.URL,
 		Name:           name,
 		CacheDir:       cacheDir,
 		HeartbeatEvery: 20 * time.Millisecond,
 		Chaos:          chaos,
 	})
+	return stop
+}
+
+// runWorker launches a Worker with the given configuration and returns it
+// with its stop function (idempotent; also registered as cleanup).
+func runWorker(t *testing.T, cfg WorkerConfig) (w *Worker, stop func()) {
+	t.Helper()
+	w, err := NewWorker(cfg)
 	if err != nil {
-		t.Fatalf("worker %s: %v", name, err)
+		t.Fatalf("worker %s: %v", cfg.Name, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-			t.Errorf("worker %s: %v", name, err)
+			t.Errorf("worker %s: %v", cfg.Name, err)
 		}
 	}()
 	stop = func() {
@@ -85,7 +93,7 @@ func startWorker(t *testing.T, f *fixture, name, cacheDir string, chaos *Chaos) 
 		<-done
 	}
 	t.Cleanup(stop)
-	return stop
+	return w, stop
 }
 
 // TestDistributedJobByteIdentical is the tentpole acceptance bar in-process:

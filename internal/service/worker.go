@@ -8,6 +8,12 @@ package service
 // cell's row back as it lands, and reports the shard done once the range is
 // complete.
 //
+// The heartbeat ticker is the busy cadence. A worker heartbeats at once
+// after (re-)registering and after each acknowledged completion, and every
+// heartbeat reports the shards it is running; an idle worker's heartbeat is
+// held by the coordinator until there is work for it, so a grant arrives as
+// soon as a job is admitted rather than on the next tick.
+//
 // Reconciliation is list-based: every heartbeat response carries the
 // worker's complete grant set, so a shard missing from the list — withdrawn
 // after this worker's lease briefly lapsed, or its job canceled — has its
@@ -47,8 +53,9 @@ type WorkerConfig struct {
 	Workers      int
 	TrialWorkers int
 	Lanes        int
-	// HeartbeatEvery overrides the heartbeat cadence; zero selects a third
-	// of the lease TTL the coordinator grants at registration.
+	// HeartbeatEvery overrides the heartbeat cadence while busy; zero
+	// selects a third of the lease TTL the coordinator grants at
+	// registration. Idle heartbeats are held by the coordinator instead.
 	HeartbeatEvery time.Duration
 	// Chaos optionally injects faults (see ParseChaos); nil injects none.
 	Chaos *Chaos
@@ -67,8 +74,9 @@ type Worker struct {
 	id       string
 	leaseTTL time.Duration
 
-	mu    sync.Mutex
-	execs map[string]*shardExec // key: job/shard/attempt
+	mu     sync.Mutex
+	execs  map[string]*shardExec // key: job/shard/attempt
+	repoll chan struct{}         // see pollSoon
 }
 
 // shardExec is one in-flight shard execution.
@@ -91,7 +99,12 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	return &Worker{cfg: cfg, client: client, execs: make(map[string]*shardExec)}, nil
+	return &Worker{
+		cfg:    cfg,
+		client: client,
+		execs:  make(map[string]*shardExec),
+		repoll: make(chan struct{}, 1),
+	}, nil
 }
 
 // registerRetryEvery paces registration attempts against a coordinator that
@@ -113,11 +126,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	defer w.cancelAll()
+	w.pollSoon() // heartbeat at once after registering
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-ticker.C:
+		case <-w.repoll:
 		}
 		if w.cfg.Chaos.dropHeartbeat() {
 			fmt.Fprintf(w.cfg.Log, "worker %s: chaos dropped heartbeat\n", w.id)
@@ -141,9 +156,18 @@ func (w *Worker) Run(ctx context.Context) error {
 			if err := w.register(ctx); err != nil {
 				return err
 			}
+			w.pollSoon()
 			continue
 		}
 		w.reconcile(ctx, grants)
+	}
+}
+
+// pollSoon makes the main loop heartbeat without waiting for its ticker.
+func (w *Worker) pollSoon() {
+	select {
+	case w.repoll <- struct{}{}:
+	default:
 	}
 }
 
@@ -192,15 +216,28 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// heartbeat renews the lease and fetches the grant list. lost=true means
-// the coordinator does not recognize this worker anymore.
+// heartbeat renews the lease and fetches the grant list, reporting the
+// shards this worker is running; with none running the coordinator holds
+// the answer until it has work. lost=true means the coordinator does not
+// recognize this worker anymore.
 func (w *Worker) heartbeat(ctx context.Context) (grants []shardGrant, lost bool, err error) {
-	w.cfg.Chaos.sleep()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		fmt.Sprintf("%s/v1/workers/%s/heartbeat", w.cfg.Coordinator, w.id), nil)
+	w.mu.Lock()
+	running := make([]string, 0, len(w.execs))
+	for key := range w.execs {
+		running = append(running, key)
+	}
+	w.mu.Unlock()
+	body, err := json.Marshal(heartbeatRequest{Running: running})
 	if err != nil {
 		return nil, false, err
 	}
+	w.cfg.Chaos.sleep()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		fmt.Sprintf("%s/v1/workers/%s/heartbeat", w.cfg.Coordinator, w.id), bytes.NewReader(body))
+	if err != nil {
+		return nil, false, err
+	}
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.client.Do(req)
 	if err != nil {
 		return nil, false, err
@@ -278,15 +315,21 @@ func (w *Worker) cancelAll() {
 // cancellation are logged and abandoned — the lease machinery re-queues the
 // shard; there is deliberately no failure-report RPC, because a worker that
 // can fail loudly is indistinguishable, to the coordinator, from one that
-// dies silently, and one recovery path is better than two.
+// dies silently, and one recovery path is better than two. An acknowledged
+// report wakes the main loop once the shard has left the running set, so
+// the next heartbeat goes out idle and at once.
 func (w *Worker) runShard(ctx context.Context, g shardGrant, ex *shardExec) {
 	defer close(ex.done)
+	acked := false
 	defer func() {
 		w.mu.Lock()
 		if w.execs[grantKey(g)] == ex {
 			delete(w.execs, grantKey(g))
 		}
 		w.mu.Unlock()
+		if acked {
+			w.pollSoon()
+		}
 	}()
 	var m experiment.Matrix
 	if err := json.Unmarshal(g.Spec, &m); err != nil {
@@ -311,7 +354,7 @@ func (w *Worker) runShard(ctx context.Context, g shardGrant, ex *shardExec) {
 		}
 		return
 	}
-	w.reportDone(ctx, g, up.summary, up)
+	acked = w.reportDone(ctx, g, up.summary, up)
 }
 
 // reportRetryEvery paces done-report retries against upload hiccups.
@@ -319,12 +362,13 @@ const reportRetryEvery = 500 * time.Millisecond
 
 // reportDone flushes any rows still pending and posts the completion
 // report, retrying until it lands, the coordinator declares it stale, or
-// the grant is withdrawn (ctx canceled).
-func (w *Worker) reportDone(ctx context.Context, g shardGrant, sum experiment.RunSummary, up *uploadSink) {
+// the grant is withdrawn (ctx canceled). It reports whether the
+// coordinator acknowledged the report.
+func (w *Worker) reportDone(ctx context.Context, g shardGrant, sum experiment.RunSummary, up *uploadSink) bool {
 	body, err := json.Marshal(shardDoneRequest{Attempt: g.Attempt, Summary: sum})
 	if err != nil {
 		fmt.Fprintf(w.cfg.Log, "worker %s: shard %s: encode report: %v\n", w.id, grantKey(g), err)
-		return
+		return false
 	}
 	url := fmt.Sprintf("%s/v1/workers/%s/shards/%s/%d/done", w.cfg.Coordinator, w.id, g.Job, g.Shard)
 	for ctx.Err() == nil {
@@ -334,7 +378,7 @@ func (w *Worker) reportDone(ctx context.Context, g shardGrant, sum experiment.Ru
 			w.cfg.Chaos.sleep()
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 			if err != nil {
-				return
+				return false
 			}
 			req.Header.Set("Content-Type", "application/json")
 			resp, err := w.client.Do(req)
@@ -345,7 +389,7 @@ func (w *Worker) reportDone(ctx context.Context, g shardGrant, sum experiment.Ru
 				switch {
 				case resp.StatusCode == http.StatusOK && decErr == nil && (ack.Done || ack.Stale):
 					fmt.Fprintf(w.cfg.Log, "worker %s: shard %s done (stale=%v)\n", w.id, grantKey(g), ack.Stale)
-					return
+					return true
 				case resp.StatusCode == http.StatusConflict:
 					// Rows missing on the coordinator (a lost upload):
 					// re-send everything and retry.
@@ -357,10 +401,11 @@ func (w *Worker) reportDone(ctx context.Context, g shardGrant, sum experiment.Ru
 		}
 		select {
 		case <-ctx.Done():
-			return
+			return false
 		case <-time.After(reportRetryEvery):
 		}
 	}
+	return false
 }
 
 // uploadSink is the worker-side experiment.Sink: it buffers each completed
