@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"sort"
 
+	"iotmpc/internal/field"
 	"iotmpc/internal/minicast"
 	"iotmpc/internal/phy"
 	"iotmpc/internal/seckey"
+	"iotmpc/internal/shamir"
 	"iotmpc/internal/sim"
 )
 
@@ -40,11 +42,28 @@ type Bootstrap struct {
 	Diameter int
 
 	cfg Config
+
+	// What every round of this bootstrap shares, fixed by prepareRounds
+	// and read-only afterwards, so concurrent rounds share it.
+	//
+	// dests is sealDests(); destPoints[j] is the public point of dests[j],
+	// the points a source's shares are evaluated at.
+	dests      []int
+	destPoints []field.Element
 	// links[src*n+dst] is the secure channel src seals shares to dst
 	// under, prepared once for every pair a round uses and nil elsewhere.
-	// Both directions of a pair share one Link. The table is read-only
-	// after RunBootstrap, so concurrent rounds share it.
+	// Both directions of a pair share one Link.
 	links []*seckey.Link
+	// shareItems is the sharing chain: one item per (source, destination)
+	// pair, sources in Config order and destinations in dests order,
+	// skipping a source's own destination (that share never leaves the
+	// node). Item i is sealed for slot i.
+	shareItems []minicast.Item
+	// commitItems is the commitment chain of verifiable rounds: one
+	// broadcast item per polynomial coefficient per coordinate per
+	// source; commitOwner[i] is item i's source.
+	commitItems []minicast.Item
+	commitOwner []int
 }
 
 // Probing constants. More probes sharpen the estimates at bootstrap cost;
@@ -86,7 +105,7 @@ func RunBootstrap(cfg Config) (*Bootstrap, error) {
 			return nil, err
 		}
 	}
-	if err := b.prepareLinks(); err != nil {
+	if err := b.prepareRounds(); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -108,17 +127,28 @@ func (b *Bootstrap) sealDests() []int {
 	return dests
 }
 
-// prepareLinks establishes the pairwise secure channel of every (source,
-// destination) pair a round seals under, so rounds pay no per-packet key
-// derivation or AES key expansion.
-func (b *Bootstrap) prepareLinks() error {
+// prepareRounds fixes what every round of the bootstrap shares: the
+// destinations and their public points, the chain layouts, and the
+// pairwise secure channel of every (source, destination) pair a round
+// seals under, so rounds pay no per-packet key derivation or AES key
+// expansion.
+func (b *Bootstrap) prepareRounds() error {
 	n := b.Channel.NumNodes()
 	keys := seckey.NewStore(seckey.MasterFromSeed(b.cfg.MasterSeed))
+	b.dests = b.sealDests()
+	b.destPoints = make([]field.Element, len(b.dests))
+	for j, dst := range b.dests {
+		b.destPoints[j] = shamir.PublicPoint(dst)
+	}
 	b.links = make([]*seckey.Link, n*n)
-	dests := b.sealDests()
+	b.shareItems = make([]minicast.Item, 0, len(b.cfg.Sources)*len(b.dests))
 	for _, src := range b.cfg.Sources {
-		for _, dst := range dests {
-			if dst == src || b.links[src*n+dst] != nil {
+		for _, dst := range b.dests {
+			if dst == src {
+				continue
+			}
+			b.shareItems = append(b.shareItems, minicast.Item{Owner: src, Dst: dst})
+			if b.links[src*n+dst] != nil {
 				continue
 			}
 			key, err := keys.PairKey(src, dst)
@@ -127,6 +157,17 @@ func (b *Bootstrap) prepareLinks() error {
 			}
 			l := seckey.NewLink(key)
 			b.links[src*n+dst], b.links[dst*n+src] = l, l
+		}
+	}
+	if b.cfg.Verifiable {
+		perSource := b.cfg.effVectorLen() * (b.cfg.Degree + 1)
+		b.commitItems = make([]minicast.Item, 0, len(b.cfg.Sources)*perSource)
+		b.commitOwner = make([]int, 0, len(b.cfg.Sources)*perSource)
+		for _, src := range b.cfg.Sources {
+			for c := 0; c < perSource; c++ {
+				b.commitItems = append(b.commitItems, minicast.Item{Owner: src, Dst: -1})
+				b.commitOwner = append(b.commitOwner, src)
+			}
 		}
 	}
 	return nil
@@ -139,6 +180,24 @@ func (b *Bootstrap) link(src, dst int) (*seckey.Link, error) {
 		return nil, fmt.Errorf("%w: no link %d -> %d prepared at bootstrap", ErrBadConfig, src, dst)
 	}
 	return l, nil
+}
+
+// streamRNGs returns count pooled generators reseeded to streams first,
+// first+1, … under seed, each identical to a fresh sim.NewRNG of its
+// stream; putRNGs returns them to the pool.
+func streamRNGs(count int, seed int64, first uint64) []*rand.Rand {
+	out := make([]*rand.Rand, count)
+	for i := range out {
+		out[i] = rngs.Get().(*rand.Rand)
+		sim.ReseedRNG(out[i], seed, first+uint64(i))
+	}
+	return out
+}
+
+func putRNGs(streams []*rand.Rand) {
+	for _, r := range streams {
+		rngs.Put(r)
+	}
 }
 
 // probeItems is an all-to-all broadcast chain: one item per node.
@@ -194,16 +253,14 @@ func (b *Bootstrap) deriveNTXFull() error {
 // chain and reports whether every one reached full all-to-all coverage.
 // Probe p draws from its own stream, seeded 0x0B00+NTX·1000+p.
 func (b *Bootstrap) probesFull(cfg minicast.Config, from, to int, arena *sim.Arena) (bool, error) {
-	rngs := make([]*rand.Rand, to-from)
-	for l := range rngs {
-		rngs[l] = sim.NewRNG(b.cfg.ChannelSeed, uint64(0x0B00+cfg.NTX*1000+from+l))
-	}
+	streams := streamRNGs(to-from, b.cfg.ChannelSeed, uint64(0x0B00+cfg.NTX*1000+from))
+	defer putRNGs(streams)
 	arena.Reset()
-	res, err := minicast.RunLanes(cfg, len(rngs), rngs, nil, arena)
+	res, err := minicast.RunLanes(cfg, len(streams), streams, nil, arena)
 	if err != nil {
 		return false, err
 	}
-	all := ^uint64(0) >> (64 - len(rngs))
+	all := ^uint64(0) >> (64 - len(streams))
 	for _, m := range res.HaveMask {
 		if m != all {
 			return false, nil
@@ -218,17 +275,15 @@ func (b *Bootstrap) probesFull(cfg minicast.Config, from, to int, arena *sim.Are
 // lanes of one chain; probe p draws from its own stream, seeded 0xDE57+p.
 func (b *Bootstrap) deriveDests() error {
 	n := b.Channel.NumNodes()
-	rngs := make([]*rand.Rand, probesForDests)
-	for p := range rngs {
-		rngs[p] = sim.NewRNG(b.cfg.ChannelSeed, uint64(0xDE57+p))
-	}
+	streams := streamRNGs(probesForDests, b.cfg.ChannelSeed, 0xDE57)
+	defer putRNGs(streams)
 	res, err := minicast.RunLanes(minicast.Config{
 		Channel:      b.Channel,
 		Initiator:    b.cfg.Initiator,
 		NTX:          b.cfg.NTXSharing,
 		Items:        probeItems(n),
 		PayloadBytes: sharePayloadBytes(b.cfg.effVectorLen()),
-	}, probesForDests, rngs, nil, nil)
+	}, probesForDests, streams, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func referenceBootstrap(cfg Config) (*Bootstrap, error) {
 			return nil, err
 		}
 	}
-	if err := b.prepareLinks(); err != nil {
+	if err := b.prepareRounds(); err != nil {
 		return nil, err
 	}
 	return b, nil

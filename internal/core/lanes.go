@@ -18,10 +18,11 @@ import (
 //
 // Results are bit-identical to calling RunRound(boot, baseTrial+l) for each
 // lane: every lane owns the same derived RNG streams the scalar path would
-// use (sim.NewRNG(seed, trial*4+1) and trial*4+2), and the lane kernels touch
-// lane l's stream exactly when lane l's scalar execution would. Any partition
-// of a trial range into lane groups therefore produces the same per-trial
-// results, and count==1 routes straight to RunRound.
+// use (trial*4+1 and trial*4+2 under the channel seed, reseeded into pooled
+// generators), and the lane kernels touch lane l's stream exactly when lane
+// l's scalar execution would. Any partition of a trial range into lane
+// groups therefore produces the same per-trial results, and count==1 routes
+// straight to RunRound.
 func RunRoundLanes(boot *Bootstrap, baseTrial uint64, count int) ([]*RoundResult, error) {
 	if boot == nil || boot.Channel == nil {
 		return nil, fmt.Errorf("%w: nil bootstrap", ErrBadConfig)
@@ -38,44 +39,45 @@ func RunRoundLanes(boot *Bootstrap, baseTrial uint64, count int) ([]*RoundResult
 	}
 	cfg := boot.cfg
 	ch := boot.Channel
-	n := ch.NumNodes()
 
 	// chainArena backs the shared lane chains: their possession masks must
 	// stay readable while every lane's epilogue folds. laneArena backs one
 	// lane's reconstruction chain at a time and resets between lanes.
 	chainArena := roundArenas.Get().(*sim.Arena)
 	laneArena := roundArenas.Get().(*sim.Arena)
+	execs := make([]roundExec, count)
 	defer func() {
 		chainArena.Reset()
 		roundArenas.Put(chainArena)
 		laneArena.Reset()
 		roundArenas.Put(laneArena)
+		for _, e := range execs {
+			if e.prep != nil {
+				putPrep(e.prep)
+			}
+		}
 	}()
 
-	execs := make([]*roundExec, count)
 	radioRNGs := make([]*rand.Rand, count)
 	ledgers := make([]*sim.RadioLedger, count)
-	for l := 0; l < count; l++ {
-		trial := baseTrial + uint64(l)
-		secretRNG := sim.NewRNG(cfg.ChannelSeed, trial*4+1)
-		radioRNGs[l] = sim.NewRNG(cfg.ChannelSeed, trial*4+2)
-		ledgers[l] = sim.NewRadioLedger(n)
-		prep, err := prepareShares(boot, cfg, trial, secretRNG, nil)
-		if err != nil {
+	secretRNG := rngs.Get().(*rand.Rand)
+	defer rngs.Put(secretRNG)
+	for l := range execs {
+		prep := preps.Get().(*sharePrep)
+		execs[l] = roundExec{
+			boot:  boot,
+			cfg:   cfg,
+			trial: baseTrial + uint64(l),
+			prep:  prep,
+		}
+		if err := prep.prepare(boot, cfg, execs[l].trial, secretRNG, nil); err != nil {
 			return nil, err
 		}
-		execs[l] = &roundExec{
-			boot:     boot,
-			cfg:      cfg,
-			trial:    trial,
-			prep:     prep,
-			ledger:   ledgers[l],
-			radioRNG: radioRNGs[l],
-		}
+		radioRNGs[l], ledgers[l] = prep.radioRNG, &prep.ledger
+		execs[l].radioRNG, execs[l].ledger = radioRNGs[l], ledgers[l]
 	}
-	// The chain item layouts depend only on the bootstrap (sources, degree,
-	// vector length, destination schedule), never on the trial, so lane 0's
-	// prep describes every lane's chains.
+	// The chain layouts and the NTX depend only on the bootstrap, never on
+	// the trial, so lane 0's prep describes every lane's chains.
 	prep0 := execs[0].prep
 
 	if cfg.Verifiable {
@@ -83,17 +85,17 @@ func RunRoundLanes(boot *Bootstrap, baseTrial uint64, count int) ([]*RoundResult
 			Channel:      ch,
 			Initiator:    cfg.Initiator,
 			NTX:          prep0.ntx,
-			Items:        prep0.commitItems,
+			Items:        boot.commitItems,
 			PayloadBytes: commitPayloadBytes,
 			Failed:       cfg.Failed,
 		}, count, radioRNGs, ledgers, chainArena)
 		if err != nil {
 			return nil, fmt.Errorf("commitment phase: %w", err)
 		}
-		for l, e := range execs {
+		for l := range execs {
 			bit := uint64(1) << l
-			e.commitDur = commitLane.Duration
-			e.haveCommit = func(dst, idx int) bool { return commitLane.Have(dst, idx)&bit != 0 }
+			execs[l].commitDur = commitLane.Duration
+			execs[l].haveCommit = func(dst, idx int) bool { return commitLane.Have(dst, idx)&bit != 0 }
 		}
 	}
 
@@ -101,7 +103,7 @@ func RunRoundLanes(boot *Bootstrap, baseTrial uint64, count int) ([]*RoundResult
 		Channel:      ch,
 		Initiator:    cfg.Initiator,
 		NTX:          prep0.ntx,
-		Items:        prep0.shareItems,
+		Items:        boot.shareItems,
 		PayloadBytes: sharePayloadBytes(prep0.vecLen),
 		Failed:       cfg.Failed,
 	}, count, radioRNGs, ledgers, chainArena)
@@ -110,7 +112,8 @@ func RunRoundLanes(boot *Bootstrap, baseTrial uint64, count int) ([]*RoundResult
 	}
 
 	out := make([]*RoundResult, count)
-	for l, e := range execs {
+	for l := range execs {
+		e := &execs[l]
 		bit := uint64(1) << l
 		e.shareDur = shareLane.Duration
 		e.haveShare = func(dst, idx int) bool { return shareLane.Have(dst, idx)&bit != 0 }

@@ -312,3 +312,83 @@ func TestBootstrapLinksUsePairKeys(t *testing.T) {
 		}
 	}
 }
+
+// FuzzRoundLanesMatchScalar is the round-level differential oracle of the
+// lane path. The input picks the radio backend (log-distance, unit disk or
+// trace replay) on a 10-node grid, the protocol, the vector length (0–9),
+// verifiability, the sources, the crashed nodes, the lane count (2–64),
+// the base trial and the channel seed; every lane of RunRoundLanes must
+// then DeepEqual the scalar RunRound of its trial. Both paths run on
+// pooled per-trial memory reused across lanes, batches and inputs, so a
+// buffer aliased between two lanes, or stale from an earlier round of
+// another shape, fails here. Explore with
+// go test -fuzz=FuzzRoundLanesMatchScalar ./internal/core.
+func FuzzRoundLanesMatchScalar(f *testing.F) {
+	f.Add(uint8(0), true, uint8(0), false, uint16(0x3ff), uint16(0), uint8(3), uint64(0), int64(1))
+	f.Add(uint8(1), false, uint8(8), false, uint16(0x0ff), uint16(0x300), uint8(62), uint64(1000), int64(2))
+	f.Add(uint8(2), true, uint8(3), true, uint16(0x03f), uint16(0x080), uint8(5), uint64(7), int64(3))
+	f.Add(uint8(0), false, uint8(9), true, uint16(0x00b), uint16(0x200), uint8(2), uint64(1<<40), int64(-4))
+	f.Add(uint8(1), true, uint8(1), false, uint16(0x155), uint16(0x2aa), uint8(17), uint64(31), int64(5))
+	f.Add(uint8(2), false, uint8(0), false, uint16(0x001), uint16(0x3fe), uint8(9), uint64(3), int64(6))
+	lt, err := trace.Bundled("testbed10")
+	if err != nil {
+		f.Fatal(err)
+	}
+	grid, err := topology.Grid(2, 5, 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	backends := []phy.Factory{nil, phy.UnitDiskFactory(35, 20), trace.Factory(lt)}
+	f.Fuzz(func(t *testing.T, backend uint8, s4 bool, vecLen uint8, verifiable bool,
+		sourceMask, crashMask uint16, lanes uint8, base uint64, seed int64) {
+		const n = 10
+		cfg := Config{
+			Topology:    grid,
+			Backend:     backends[int(backend)%len(backends)],
+			Protocol:    S3,
+			Degree:      2,
+			NTXSharing:  5,
+			DestSlack:   1,
+			ChannelSeed: seed,
+			VectorLen:   int(vecLen) % 10,
+			Verifiable:  verifiable,
+		}
+		if s4 {
+			cfg.Protocol = S4
+		}
+		for i := 0; i < n; i++ {
+			if sourceMask&(1<<i) != 0 {
+				cfg.Sources = append(cfg.Sources, i)
+			}
+		}
+		if len(cfg.Sources) == 0 {
+			cfg.Sources = []int{0}
+		}
+		failed := make([]bool, n)
+		for i := 1; i < n; i++ { // node 0 initiates and never crashes
+			failed[i] = crashMask&(1<<i) != 0 && !contains(cfg.Sources, i)
+		}
+		cfg.Failed = failed
+		boot, err := RunBootstrap(cfg)
+		if errors.Is(err, ErrBootstrap) {
+			return // a crash mask or backend the protocol cannot run on
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := 2 + int(lanes)%(phy.MaxLanes-1)
+		got, err := RunRoundLanes(boot, base, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, res := range got {
+			want, err := RunRound(boot, base+uint64(l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("lane %d of %d (trial %d) diverges from its scalar round", l, count, base+uint64(l))
+			}
+		}
+	})
+}

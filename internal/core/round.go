@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -72,12 +72,6 @@ type RoundResult struct {
 	UnverifiedShares int
 }
 
-// shareDelivery is one sealed share vector riding a chain sub-slot.
-type shareDelivery struct {
-	item   minicast.Item
-	sealed []byte
-}
-
 // RunRound executes one aggregation round. trial selects the randomness
 // stream (secrets, fading, reception draws); runs with the same
 // (bootstrap, trial) are bit-identical.
@@ -94,60 +88,114 @@ func RunRoundWithSecrets(boot *Bootstrap, trial uint64, secrets map[int]uint64) 
 	return RunRoundTraced(boot, trial, secrets, nil)
 }
 
-// sharePrep is everything one trial computes before any packet is on the
-// air: the sources' readings, their sealed share deliveries, the chain item
-// layouts, and the (lane-independent) destination/NTX schedule. The item
-// lists depend only on the bootstrap and the source set, never on the
-// trial, which is what lets the lane path run one chain pass for a whole
-// trial batch.
+// sharePrep is one trial's working memory, from the compute prologue —
+// the sources' readings and their sealed share vectors, the destinations'
+// running sums — through the round epilogue. The chain layouts depend only
+// on the bootstrap and live there, which is what lets the lane path run
+// one chain pass for a whole trial batch.
+//
+// sharePreps are pooled (preps): prepare reuses the buffers of the last
+// trial, so a warm trial allocates only its packet slab and what its
+// RoundResult keeps.
 type sharePrep struct {
-	expected    []field.Element
-	deliveries  []shareDelivery
-	localShares map[int][]shamir.ShareVector
-	commits     map[int][]*vss.Commitment
+	// expected is Σ readings, coordinate-wise; it becomes the result's
+	// ExpectedVec, so each trial allocates its own.
+	expected []field.Element
+	// packets holds the sealed share vectors, item i of the bootstrap's
+	// sharing chain at [i·size, (i+1)·size) for size =
+	// seckey.SealedVectorSize(vecLen). It is the one per-trial buffer that
+	// grows with sources × destinations, so each trial allocates its own
+	// and putPrep drops it: idle pooled preps do not pin it.
+	packets []byte
+	// sums[dst·vecLen:(dst+1)·vecLen] is destination dst's running share
+	// sum and contrib[dst] counts the shares in it. prepare folds in the
+	// shares a source keeps because it is its own destination; finish
+	// folds in the ones the sharing chain delivered.
+	sums    []field.Element
+	contrib []int
+	// commits[src][k] is source src's Feldman commitment for coordinate k
+	// (verifiable rounds only).
+	commits     [][]*vss.Commitment
 	shareGenMax time.Duration
-	shareItems  []minicast.Item
-	commitItems []minicast.Item
-	commitOwner []int // commitment chain index → source
-	dests       []int
 	ntx         int
 	vecLen      int
 	vecMode     bool
+
+	// Reused working memory. radioRNG is the trial's radio stream and
+	// ledger its radio-on accounting, both live until the round is folded.
+	radioRNG       *rand.Rand
+	ledger         sim.RadioLedger
+	blk            seckey.Block
+	poly           field.Poly
+	reading, evals []field.Element
+	opened         []field.Element
+	absorbCPU      []time.Duration
+	holders        []int
+	reconItems     []minicast.Item
+	arrivals       []time.Duration
+	held           []shamir.ShareVector
 }
 
-// prepareShares runs the on-node compute prologue of one trial: draw the
-// readings from secretRNG, split them (Feldman-dealt in verifiable mode),
-// seal one vector per (source, destination), and lay out the sharing and
-// commitment chains.
-func prepareShares(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Rand,
-	rec *trace.Recorder) (*sharePrep, error) {
-	ch := boot.Channel
-	n := ch.NumNodes()
-	points := shamir.PublicPoints(n)
+// preps pools sharePreps across rounds and trial workers. rngs pools the
+// generators that are needed only briefly — the secret stream while
+// prepare runs, bootstrap probe streams — which callers reseed to their
+// stream with sim.ReseedRNG instead of allocating a ~5 KB source per
+// stream.
+var (
+	preps = sync.Pool{New: func() any { return &sharePrep{radioRNG: rand.New(rand.NewSource(0))} }}
+	rngs  = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+)
 
-	p := &sharePrep{
-		vecLen: cfg.effVectorLen(),
-		// vecMode distinguishes an explicit vector deployment (VectorLen
-		// >= 1) from the scalar default only where the OUTPUT must stay
-		// byte-stable for historical configurations: trace event details.
-		vecMode: cfg.VectorLen > 0,
-		ntx:     cfg.NTXSharing,
-		dests:   boot.sealDests(),
-	}
+// putPrep returns p to preps without its packet slab.
+func putPrep(p *sharePrep) {
+	p.packets = nil
+	preps.Put(p)
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough; the contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// prepare runs the on-node compute prologue of one trial: seed the trial's
+// secret stream into secretRNG and its radio stream into p.radioRNG, clear
+// its ledger, draw the readings from the secret stream, split them at the
+// destinations' points (Feldman-dealt in verifiable mode), and seal one
+// vector per (source, destination) into packets.
+func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Rand, rec *trace.Recorder) error {
+	n := boot.Channel.NumNodes()
+	dests := boot.dests
+	vecLen := cfg.effVectorLen()
+	p.vecLen = vecLen
+	// vecMode distinguishes an explicit vector deployment (VectorLen >= 1)
+	// from the scalar default only where the OUTPUT must stay byte-stable
+	// for historical configurations: trace event details.
+	p.vecMode = cfg.VectorLen > 0
+	p.ntx = cfg.NTXSharing
 	if cfg.Protocol == S3 {
 		p.ntx = boot.NTXFull
 	}
-	vecLen := p.vecLen
+	sim.ReseedRNG(secretRNG, cfg.ChannelSeed, trial*4+1)
+	sim.ReseedRNG(p.radioRNG, cfg.ChannelSeed, trial*4+2)
+	p.ledger.Reset(n)
 
 	p.expected = make([]field.Element, vecLen)
-	p.deliveries = make([]shareDelivery, 0, len(cfg.Sources)*len(p.dests))
-	// localShares[j] collects share vectors that never ride the chain
-	// because the source is its own destination.
-	p.localShares = make(map[int][]shamir.ShareVector, len(cfg.Sources))
-	// commits[src][k] is source src's Feldman commitment for coordinate k.
-	p.commits = make(map[int][]*vss.Commitment, len(cfg.Sources))
+	p.sums = resize(p.sums, n*vecLen)
+	clear(p.sums)
+	p.contrib = resize(p.contrib, n)
+	clear(p.contrib)
+	p.reading = resize(p.reading, vecLen)
+	p.evals = resize(p.evals, len(dests)*vecLen)
+	p.poly = resize(p.poly, cfg.Degree+1)
+	p.packets = make([]byte, 0, len(boot.shareItems)*seckey.SealedVectorSize(vecLen))
+	if cfg.Verifiable {
+		p.commits = resize(p.commits, n)
+	}
+	p.shareGenMax = 0
+	slot := 0
 	for _, src := range cfg.Sources {
-		reading := make([]field.Element, vecLen)
+		reading := p.reading
 		for k := range reading {
 			reading[k] = field.New(secretRNG.Uint64())
 		}
@@ -157,84 +205,63 @@ func prepareShares(boot *Bootstrap, cfg Config, trial uint64, secretRNG *rand.Ra
 		for k, secret := range reading {
 			p.expected[k] = p.expected[k].Add(secret)
 		}
-		var out []shamir.ShareVector
+		// evals[j·vecLen+k] is dests[j]'s share of reading[k].
 		if cfg.Verifiable {
-			out = make([]shamir.ShareVector, n)
-			for i := range out {
-				out[i] = shamir.ShareVector{X: points[i], Values: make([]field.Element, vecLen)}
-			}
 			cs := make([]*vss.Commitment, vecLen)
 			for k, secret := range reading {
-				vshares, commit, err := vss.Deal(secret, cfg.Degree, points, secretRNG)
+				vshares, commit, err := vss.Deal(secret, cfg.Degree, boot.destPoints, secretRNG)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				cs[k] = commit
-				for i, vs := range vshares {
-					out[i].Values[k] = vs.Value
+				for j, vs := range vshares {
+					p.evals[j*vecLen+k] = vs.Value
 				}
 			}
 			p.commits[src] = cs
-		} else {
-			var err error
-			out, err = shamir.SplitVec(reading, cfg.Degree, points, secretRNG)
-			if err != nil {
-				return nil, err
-			}
+		} else if err := shamir.SplitVecInto(p.evals, reading, cfg.Degree, boot.destPoints, secretRNG, p.poly); err != nil {
+			return err
 		}
-		genCost := cfg.CPU.ShareGenerationVec(cfg.Degree, len(p.dests), vecLen)
+		genCost := cfg.CPU.ShareGenerationVec(cfg.Degree, len(dests), vecLen)
 		if cfg.Verifiable {
 			genCost += time.Duration(vecLen) * cfg.CPU.VSSCommit(cfg.Degree)
 		}
 		if genCost > p.shareGenMax {
 			p.shareGenMax = genCost
 		}
-		genDetail := fmt.Sprintf("%d destinations", len(p.dests))
-		if p.vecMode {
-			genDetail = fmt.Sprintf("%d destinations, veclen=%d", len(p.dests), vecLen)
+		if rec != nil {
+			genDetail := fmt.Sprintf("%d destinations", len(dests))
+			if p.vecMode {
+				genDetail = fmt.Sprintf("%d destinations, veclen=%d", len(dests), vecLen)
+			}
+			rec.Record(genCost, trace.KindShareGen, src, genDetail)
 		}
-		rec.Record(genCost, trace.KindShareGen, src, genDetail)
-		for _, dst := range p.dests {
+		for j, dst := range dests {
+			share := p.evals[j*vecLen : (j+1)*vecLen]
 			if dst == src {
-				p.localShares[dst] = append(p.localShares[dst], out[dst])
+				if err := field.AccumulateVec(p.sums[dst*vecLen:(dst+1)*vecLen], share); err != nil {
+					return err
+				}
+				p.contrib[dst]++
 				continue
 			}
 			link, err := boot.link(src, dst)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ctx := seckey.PacketContext{
 				Round:    uint32(trial),
 				Sender:   uint16(src),
 				Receiver: uint16(dst),
-				Slot:     uint32(len(p.deliveries)),
+				Slot:     uint32(slot),
 			}
-			sealed, err := link.SealVector(ctx, out[dst].Values)
-			if err != nil {
-				return nil, err
+			if p.packets, err = link.SealVectorTo(p.packets, &p.blk, ctx, share); err != nil {
+				return err
 			}
-			p.deliveries = append(p.deliveries, shareDelivery{
-				item:   minicast.Item{Owner: src, Dst: dst},
-				sealed: sealed,
-			})
+			slot++
 		}
 	}
-	p.shareItems = make([]minicast.Item, len(p.deliveries))
-	for i, d := range p.deliveries {
-		p.shareItems[i] = d.item
-	}
-	if cfg.Verifiable {
-		// One broadcast item per polynomial coefficient per coordinate per
-		// source.
-		p.commitItems = make([]minicast.Item, 0, len(cfg.Sources)*vecLen*(cfg.Degree+1))
-		for _, src := range cfg.Sources {
-			for c := 0; c < vecLen*(cfg.Degree+1); c++ {
-				p.commitItems = append(p.commitItems, minicast.Item{Owner: src, Dst: -1})
-				p.commitOwner = append(p.commitOwner, src)
-			}
-		}
-	}
-	return p, nil
+	return nil
 }
 
 // roundExec carries one trial's state between the sharing chains and the
@@ -266,7 +293,7 @@ func (e *roundExec) hasFullCommitment(dst, src int) bool {
 	if e.haveCommit == nil {
 		return false
 	}
-	for idx, owner := range e.prep.commitOwner {
+	for idx, owner := range e.boot.commitOwner {
 		if owner == src && !e.haveCommit(dst, idx) {
 			return false
 		}
@@ -275,64 +302,54 @@ func (e *roundExec) hasFullCommitment(dst, src int) bool {
 }
 
 // finish runs the round epilogue: per-destination aggregation, holder
-// selection, the reconstruction chain (drawing from radioRNG), and the
-// per-node result fold. The arena backs the reconstruction chain's buffers;
-// the returned RoundResult owns its memory.
+// selection, the reconstruction chain (drawing from the trial's radio
+// stream), and the per-node result fold. The arena backs the
+// reconstruction chain's buffers; the returned RoundResult owns its memory.
 func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
-	boot, cfg, prep, rec := e.boot, e.cfg, e.prep, e.rec
+	boot, cfg, p, rec := e.boot, e.cfg, e.prep, e.rec
 	ch := boot.Channel
 	n := ch.NumNodes()
-	vecLen := prep.vecLen
-	ntx := prep.ntx
-	expected := prep.expected
+	vecLen := p.vecLen
+	ntx := p.ntx
+	expected := p.expected
 	ledger := e.ledger
+	sum := func(dst int) []field.Element { return p.sums[dst*vecLen : (dst+1)*vecLen] }
 
 	// --- Local aggregation at each destination (coordinate-wise). ---
-	sums := make([][]field.Element, n)
-	addVec := func(dst int, values []field.Element) error {
-		if sums[dst] == nil {
-			sums[dst] = make([]field.Element, vecLen)
-		}
-		return field.AccumulateVec(sums[dst], values)
-	}
-	contrib := make([]int, n)
-	absorbCPU := make([]time.Duration, n)
+	// Shares a source kept for itself are already in its sum.
+	p.absorbCPU = resize(p.absorbCPU, n)
+	absorbCPU := p.absorbCPU
+	clear(absorbCPU)
+	size := seckey.SealedVectorSize(vecLen)
 	var verified, unverified int
-	for dst, shares := range prep.localShares {
-		for _, sv := range shares {
-			if err := addVec(dst, sv.Values); err != nil {
-				return nil, err
-			}
-			contrib[dst]++
-		}
-	}
-	for idx, d := range prep.deliveries {
-		dst := d.item.Dst
+	for idx, item := range boot.shareItems {
+		dst := item.Dst
 		if !e.haveShare(dst, idx) {
 			continue
 		}
-		link, err := boot.link(d.item.Owner, dst)
+		link, err := boot.link(item.Owner, dst)
 		if err != nil {
 			return nil, err
 		}
 		ctx := seckey.PacketContext{
 			Round:    uint32(e.trial),
-			Sender:   uint16(d.item.Owner),
+			Sender:   uint16(item.Owner),
 			Receiver: uint16(dst),
 			Slot:     uint32(idx),
 		}
-		values, err := link.OpenVector(ctx, vecLen, d.sealed)
+		values, err := link.OpenVectorTo(p.opened[:0], &p.blk, ctx, vecLen, p.packets[idx*size:(idx+1)*size])
 		if err != nil {
 			return nil, fmt.Errorf("open share vector %d: %w", idx, err)
 		}
+		p.opened = values
 		if cfg.Verifiable {
 			// Verify against the dealer's commitments when the commitment
 			// chain reached this destination; absorb optimistically
 			// otherwise (coverage is reported in the result).
-			if e.hasFullCommitment(dst, d.item.Owner) {
+			if e.hasFullCommitment(dst, item.Owner) {
 				for k, v := range values {
 					share := vss.Share{X: shamir.PublicPoint(dst), Value: v}
-					if vErr := vss.Verify(share, prep.commits[d.item.Owner][k]); vErr != nil {
+					if vErr := vss.Verify(share, p.commits[item.Owner][k]); vErr != nil {
 						// With honest dealers this indicates a protocol bug.
 						return nil, fmt.Errorf("verify share %d[%d]: %w", idx, k, vErr)
 					}
@@ -343,40 +360,42 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 				unverified += vecLen
 			}
 		}
-		if err := addVec(dst, values); err != nil {
+		if err := field.AccumulateVec(sum(dst), values); err != nil {
 			return nil, err
 		}
-		contrib[dst]++
+		p.contrib[dst]++
 	}
-	for _, dst := range prep.dests {
-		absorbCPU[dst] += cfg.CPU.SumAbsorbVec(contrib[dst], vecLen)
+	for _, dst := range boot.dests {
+		absorbCPU[dst] += cfg.CPU.SumAbsorbVec(p.contrib[dst], vecLen)
 	}
 
 	// Only destinations whose sum aggregates EVERY source re-share it; an
 	// incomplete sum would poison interpolation. (The sum packet carries a
 	// contribution count, so peers can tell.)
-	holders := make([]int, 0, len(prep.dests))
-	for _, dst := range prep.dests {
-		if contrib[dst] == len(cfg.Sources) {
+	holders := p.holders[:0]
+	for _, dst := range boot.dests {
+		if p.contrib[dst] == len(cfg.Sources) {
 			holders = append(holders, dst)
-			rec.Record(prep.shareGenMax+e.commitDur+e.shareDur, trace.KindSumComplete, dst, "")
-		} else {
-			rec.Record(prep.shareGenMax+e.commitDur+e.shareDur, trace.KindSumIncomplete, dst,
-				fmt.Sprintf("%d/%d shares", contrib[dst], len(cfg.Sources)))
+			rec.Record(p.shareGenMax+e.commitDur+e.shareDur, trace.KindSumComplete, dst, "")
+		} else if rec != nil {
+			rec.Record(p.shareGenMax+e.commitDur+e.shareDur, trace.KindSumIncomplete, dst,
+				fmt.Sprintf("%d/%d shares", p.contrib[dst], len(cfg.Sources)))
 		}
 	}
+	p.holders = holders
 	need := cfg.Degree + 1
 	if len(holders) < need {
 		// The round is unrecoverable network-wide; report total failure.
 		return failedRound(expected, n, ledger, e.commitDur+e.shareDur,
-			len(prep.shareItems), ntx, vecLen), nil
+			len(boot.shareItems), ntx, vecLen), nil
 	}
 
 	// --- Reconstruction phase over MiniCast (plaintext sum vectors). ---
-	reconItems := make([]minicast.Item, len(holders))
-	for i, h := range holders {
-		reconItems[i] = minicast.Item{Owner: h, Dst: -1}
+	reconItems := p.reconItems[:0]
+	for _, h := range holders {
+		reconItems = append(reconItems, minicast.Item{Owner: h, Dst: -1})
 	}
+	p.reconItems = reconItems
 	var stopListen func(int, []bool) bool
 	if cfg.Protocol == S4 && !cfg.NoEarlyOff {
 		// S4 nodes duty-cycle off once any k+1 sums are in hand.
@@ -405,8 +424,10 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reconstruction phase: %w", err)
 	}
-	rec.Record(prep.shareGenMax+e.commitDur+e.shareDur+reconRes.Duration, trace.KindPhase, -1,
-		fmt.Sprintf("reconstruction: chain=%d", len(reconItems)))
+	if rec != nil {
+		rec.Record(p.shareGenMax+e.commitDur+e.shareDur+reconRes.Duration, trace.KindPhase, -1,
+			fmt.Sprintf("reconstruction: chain=%d", len(reconItems)))
+	}
 
 	// --- Per-node reconstruction and latency. ---
 	res := &RoundResult{
@@ -419,7 +440,7 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		RadioOn:         make([]time.Duration, n),
 		SharingDuration: e.commitDur + e.shareDur,
 		ReconDuration:   reconRes.Duration,
-		SharingChainLen: len(prep.shareItems),
+		SharingChainLen: len(boot.shareItems),
 		ReconChainLen:   len(reconItems),
 		NTXUsed:         ntx,
 
@@ -429,6 +450,8 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		VerifiedShares:   verified,
 		UnverifiedShares: unverified,
 	}
+	// aggs backs every node's AggregateVec entry: one allocation per result.
+	aggs := make([]field.Element, n*vecLen)
 	var latSum, latMax time.Duration
 	okCount := 0
 	for node := 0; node < n; node++ {
@@ -436,30 +459,32 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		res.Latency[node] = -1
 
 		// Collect the arrival times of the sums this node holds.
-		arrivals := make([]time.Duration, 0, len(holders))
-		held := make([]shamir.ShareVector, 0, len(holders))
+		arrivals, held := p.arrivals[:0], p.held[:0]
 		for i, h := range holders {
 			if !reconRes.Have[node][i] {
 				continue
 			}
 			arrivals = append(arrivals, reconRes.RxAt[node][i])
-			held = append(held, shamir.ShareVector{X: shamir.PublicPoint(h), Values: sums[h]})
+			held = append(held, shamir.ShareVector{X: shamir.PublicPoint(h), Values: sum(h)})
 		}
+		p.arrivals, p.held = arrivals, held
 		required := need
 		if cfg.Protocol == S3 {
 			required = len(holders) // naive: wait for strict all-to-all
 		}
 		if len(held) < required {
-			rec.Record(prep.shareGenMax+e.commitDur+e.shareDur+reconRes.Duration,
-				trace.KindAggregateFail, node,
-				fmt.Sprintf("%d/%d sums", len(held), required))
+			if rec != nil {
+				rec.Record(p.shareGenMax+e.commitDur+e.shareDur+reconRes.Duration,
+					trace.KindAggregateFail, node,
+					fmt.Sprintf("%d/%d sums", len(held), required))
+			}
 			continue
 		}
-		sort.Slice(arrivals, func(i, j int) bool { return arrivals[i] < arrivals[j] })
+		slices.Sort(arrivals)
 		readyAt := arrivals[required-1]
 
-		agg, err := shamir.ReconstructVec(held, cfg.Degree)
-		if err != nil {
+		agg := aggs[node*vecLen : (node+1)*vecLen : (node+1)*vecLen]
+		if err := shamir.ReconstructVecInto(agg, held, cfg.Degree); err != nil {
 			return nil, err
 		}
 		res.Aggregate[node] = agg[0]
@@ -476,7 +501,7 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		}
 		res.NodeOK[node] = true
 		okCount++
-		lat := prep.shareGenMax + e.commitDur + e.shareDur + absorbCPU[node] + readyAt +
+		lat := p.shareGenMax + e.commitDur + e.shareDur + absorbCPU[node] + readyAt +
 			cfg.CPU.InterpolationVec(need, vecLen)
 		res.Latency[node] = lat
 		rec.Record(lat, trace.KindAggregateOK, node, "")
@@ -502,14 +527,15 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 // nil recorder is a no-op sink.
 //
 // The round is vectorized end to end: every source shares a VectorLen-long
-// reading vector (shamir.SplitVec — one polynomial per coordinate), ships
-// ONE sealed vector per destination (seckey.Link.SealVector over the link
-// prepared at bootstrap — one MIC for the whole vector), destinations
-// aggregate share vectors coordinate-wise, and reconstruction recovers the
-// full aggregate vector from one cached Lagrange basis
-// (shamir.ReconstructVec). Scalar rounds are the L=1 degenerate case and
-// produce results bit-identical to the historical one-share-per-packet
-// path.
+// reading vector (shamir.SplitVecInto — one polynomial per coordinate,
+// evaluated at the destinations' points only), ships ONE sealed vector per
+// destination (seckey.Link.SealVectorTo over the link prepared at
+// bootstrap — one MIC for the whole vector), destinations aggregate share
+// vectors coordinate-wise, and reconstruction recovers the full aggregate
+// vector from one cached Lagrange basis (shamir.ReconstructVecInto). The
+// working memory of all of it is a pooled sharePrep. Scalar rounds are the
+// L=1 degenerate case and produce results bit-identical to the historical
+// one-share-per-packet path.
 func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *trace.Recorder) (*RoundResult, error) {
 	if boot == nil || boot.Channel == nil {
 		return nil, fmt.Errorf("%w: nil bootstrap", ErrBadConfig)
@@ -524,26 +550,25 @@ func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *
 		cfg.Secrets = secrets
 	}
 	ch := boot.Channel
-	n := ch.NumNodes()
-
-	secretRNG := sim.NewRNG(cfg.ChannelSeed, trial*4+1)
-	radioRNG := sim.NewRNG(cfg.ChannelSeed, trial*4+2)
 
 	// All three chain phases borrow from one arena; their results must stay
 	// readable side by side until the round is folded, so the arena resets
 	// once, on the way out.
 	arena := roundArenas.Get().(*sim.Arena)
+	prep := preps.Get().(*sharePrep)
 	defer func() {
 		arena.Reset()
 		roundArenas.Put(arena)
+		putPrep(prep)
 	}()
 
-	prep, err := prepareShares(boot, cfg, trial, secretRNG, rec)
+	secretRNG := rngs.Get().(*rand.Rand)
+	err := prep.prepare(boot, cfg, trial, secretRNG, rec)
+	rngs.Put(secretRNG)
 	if err != nil {
 		return nil, err
 	}
-
-	ledger := sim.NewRadioLedger(n)
+	radioRNG, ledger := prep.radioRNG, &prep.ledger
 	engine := sim.NewEngine()
 
 	// --- Sharing phase over MiniCast. ---
@@ -556,7 +581,7 @@ func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *
 			Channel:      ch,
 			Initiator:    cfg.Initiator,
 			NTX:          prep.ntx,
-			Items:        prep.commitItems,
+			Items:        boot.commitItems,
 			PayloadBytes: commitPayloadBytes,
 			Failed:       cfg.Failed,
 		}, radioRNG, ledger, engine, arena)
@@ -565,26 +590,30 @@ func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *
 		}
 		commitRes = cRes
 		commitDur = commitRes.Duration
-		rec.Record(prep.shareGenMax+commitDur, trace.KindPhase, -1,
-			fmt.Sprintf("commitments: chain=%d", len(prep.commitItems)))
+		if rec != nil {
+			rec.Record(prep.shareGenMax+commitDur, trace.KindPhase, -1,
+				fmt.Sprintf("commitments: chain=%d", len(boot.commitItems)))
+		}
 	}
 
 	shareRes, err := minicast.RunArena(minicast.Config{
 		Channel:      ch,
 		Initiator:    cfg.Initiator,
 		NTX:          prep.ntx,
-		Items:        prep.shareItems,
+		Items:        boot.shareItems,
 		PayloadBytes: sharePayloadBytes(prep.vecLen),
 		Failed:       cfg.Failed,
 	}, radioRNG, ledger, engine, arena)
 	if err != nil {
 		return nil, fmt.Errorf("sharing phase: %w", err)
 	}
-	shareDetail := fmt.Sprintf("sharing: chain=%d ntx=%d", len(prep.shareItems), prep.ntx)
-	if prep.vecMode {
-		shareDetail = fmt.Sprintf("sharing: chain=%d ntx=%d veclen=%d", len(prep.shareItems), prep.ntx, prep.vecLen)
+	if rec != nil {
+		shareDetail := fmt.Sprintf("sharing: chain=%d ntx=%d", len(boot.shareItems), prep.ntx)
+		if prep.vecMode {
+			shareDetail = fmt.Sprintf("sharing: chain=%d ntx=%d veclen=%d", len(boot.shareItems), prep.ntx, prep.vecLen)
+		}
+		rec.Record(prep.shareGenMax+commitDur+shareRes.Duration, trace.KindPhase, -1, shareDetail)
 	}
-	rec.Record(prep.shareGenMax+commitDur+shareRes.Duration, trace.KindPhase, -1, shareDetail)
 
 	exec := &roundExec{
 		boot:      boot,

@@ -31,24 +31,31 @@ func NewBasisCache() *BasisCache {
 	return &BasisCache{entries: make(map[string][]Element)}
 }
 
-// cacheKey serializes a point set. Element order matters: coefficients are
-// positional, so [1,2] and [2,1] are distinct entries.
-func cacheKey(xs []Element) string {
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
+// maxStackKeyPoints is the largest point set whose lookup key is built on
+// the stack; larger sets (never seen in practice) build it on the heap.
+const maxStackKeyPoints = 64
+
+// appendKey appends the serialized point set to key. Element order
+// matters: coefficients are positional, so [1,2] and [2,1] are distinct
+// entries.
+func appendKey(key []byte, xs []Element) []byte {
+	for _, x := range xs {
+		key = binary.LittleEndian.AppendUint64(key, uint64(x))
 	}
-	return string(buf)
+	return key
 }
 
 // CoefficientsAtZero returns the Lagrange weights λᵢ with P(0) = Σ λᵢ·yᵢ for
 // the given x coordinates, computing and caching them on first sight of the
 // set. The returned slice is shared with the cache and MUST be treated as
 // read-only; callers only ever feed it to Dot/MulAccVec, which is the point.
+// A hit allocates nothing: the key is built on the stack and allocated as a
+// string only when a new set is inserted.
 func (c *BasisCache) CoefficientsAtZero(xs []Element) ([]Element, error) {
-	key := cacheKey(xs)
+	var stack [8 * maxStackKeyPoints]byte
+	key := appendKey(stack[:0], xs)
 	c.mu.RLock()
-	coeffs, ok := c.entries[key]
+	coeffs, ok := c.entries[string(key)]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
@@ -62,7 +69,7 @@ func (c *BasisCache) CoefficientsAtZero(xs []Element) ([]Element, error) {
 	}
 	c.misses.Add(1)
 	c.mu.Lock()
-	if existing, ok := c.entries[key]; ok {
+	if existing, ok := c.entries[string(key)]; ok {
 		coeffs = existing // lost the race; keep the canonical slice
 	} else {
 		if len(c.entries) >= maxCacheEntries {
@@ -72,7 +79,7 @@ func (c *BasisCache) CoefficientsAtZero(xs []Element) ([]Element, error) {
 				break
 			}
 		}
-		c.entries[key] = coeffs
+		c.entries[string(key)] = coeffs
 	}
 	c.mu.Unlock()
 	return coeffs, nil

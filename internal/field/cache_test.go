@@ -141,3 +141,25 @@ func TestBasisCacheConcurrent(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
 	}
 }
+
+// TestBasisCacheWarmHitAllocatesNothing pins the hot-path contract: a
+// lookup of a cached point set builds its key on the stack, so every
+// reconstruction after the first on a point set allocates nothing here.
+func TestBasisCacheWarmHitAllocatesNothing(t *testing.T) {
+	c := NewBasisCache()
+	xs := []Element{New(1), New(4), New(9), New(16)}
+	if _, err := c.CoefficientsAtZero(xs); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.CoefficientsAtZero(xs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm hit allocated %.1f times, want 0", allocs)
+	}
+	if hits, misses := c.Stats(); misses != 1 || hits < 100 {
+		t.Fatalf("stats: %d hits, %d misses; want >= 100 hits and 1 miss", hits, misses)
+	}
+}

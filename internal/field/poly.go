@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 )
 
 // Poly is a polynomial over GF(p) stored as coefficients in ascending order:
@@ -31,11 +32,26 @@ func NewRandomPoly(secret Element, degree int, rng io.Reader) (Poly, error) {
 		return nil, fmt.Errorf("%w: %d", ErrDegree, degree)
 	}
 	p := make(Poly, degree+1)
+	if err := p.Randomize(secret, rng); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Randomize is NewRandomPoly into p's own memory: it overwrites p with a
+// polynomial of degree len(p)-1 and constant term secret, drawing from rng
+// exactly as NewRandomPoly does, so callers sampling many polynomials can
+// reuse one.
+func (p Poly) Randomize(secret Element, rng io.Reader) error {
+	if len(p) == 0 {
+		return ErrEmptyPoly
+	}
+	degree := len(p) - 1
 	p[0] = secret
 	for i := 1; i <= degree; i++ {
 		e, err := randomElement(rng)
 		if err != nil {
-			return nil, fmt.Errorf("sample coefficient %d: %w", i, err)
+			return fmt.Errorf("sample coefficient %d: %w", i, err)
 		}
 		p[i] = e
 	}
@@ -43,11 +59,11 @@ func NewRandomPoly(secret Element, degree int, rng io.Reader) (Poly, error) {
 	for degree >= 1 && p[degree].IsZero() {
 		e, err := randomElement(rng)
 		if err != nil {
-			return nil, fmt.Errorf("resample leading coefficient: %w", err)
+			return fmt.Errorf("resample leading coefficient: %w", err)
 		}
 		p[degree] = e
 	}
-	return p, nil
+	return nil
 }
 
 // randomElement draws a uniform field element by rejection sampling 64-bit
@@ -55,7 +71,7 @@ func NewRandomPoly(secret Element, degree int, rng io.Reader) (Poly, error) {
 func randomElement(rng io.Reader) (Element, error) {
 	var buf [8]byte
 	for {
-		if _, err := io.ReadFull(rng, buf[:]); err != nil {
+		if err := readFull(rng, buf[:]); err != nil {
 			return 0, err
 		}
 		v := uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
@@ -65,6 +81,24 @@ func randomElement(rng io.Reader) (Element, error) {
 			return Element(v), nil
 		}
 	}
+}
+
+// readFull fills buf from rng as io.ReadFull does. The usual reader, a
+// *rand.Rand, is called directly — its Read always fills buf, and its byte
+// stream does not depend on how reads are split — so buf does not escape
+// and a coefficient draw allocates nothing; any other reader fills a heap
+// copy through io.ReadFull.
+func readFull(rng io.Reader, buf []byte) error {
+	if r, ok := rng.(*rand.Rand); ok {
+		r.Read(buf)
+		return nil
+	}
+	tmp := make([]byte, len(buf))
+	if _, err := io.ReadFull(rng, tmp); err != nil {
+		return err
+	}
+	copy(buf, tmp)
+	return nil
 }
 
 // Degree returns the index of the highest coefficient slot. It does not trim

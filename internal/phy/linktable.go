@@ -65,6 +65,62 @@ type LinkTable struct {
 	// transmitter count, tabulated once instead of recomputed per draw
 	// (bitwise-identical — the table holds the function's own outputs).
 	log2 []float64
+	// sigmoid brackets prrFromRSSI on a uniform grid of faded powers from
+	// the sensitivity floor up (tableLogDistance only): see sigmoidDraw.
+	sigmoid []sigmoidCell
+}
+
+// sigmoidCell bounds the RSSI→PRR sigmoid on one grid cell [x0, x1) (see
+// sigmoidEdge): lo is a little below prrFromRSSI(x0), hi a little above
+// prrFromRSSI(x1). The edges are recomputed rather than stored, which
+// halves the grid: lane batches keep 64 RNG states hot beside it.
+type sigmoidCell struct {
+	lo, hi float64
+}
+
+// Sigmoid grid geometry. Cells are sigmoidStep dB wide (a power of two, so
+// the edges are exact offsets from the floor) and the grid ends
+// sigmoidTopWidths sigmoid widths above the midpoint, where the sigmoid has
+// rounded to 1.0; sigmoidMaxCells caps the grid for very wide sigmoids,
+// whose faded powers past the cap take the exact path. sigmoidSlack
+// widens each cell's bounds by a relative 1e-12 — thousands of ulps —
+// so math.Exp rounding can never make a bound claim what the exact
+// sigmoid would not.
+const (
+	sigmoidStep      = 1.0 / 16
+	sigmoidTopWidths = 40
+	sigmoidMaxCells  = 1 << 12
+	sigmoidSlack     = 1e-12
+)
+
+// sigmoidEdge is the lower edge of grid cell i (and the upper edge of cell
+// i-1). Building the grid and drawing on it both compute edges here, so
+// they agree bit for bit.
+func (t *LinkTable) sigmoidEdge(i int) float64 {
+	return t.sensitivityDBm + float64(i)*sigmoidStep
+}
+
+// buildSigmoidGrid tabulates prrFromRSSI on [sensitivity, midpoint +
+// sigmoidTopWidths·width), cut at sigmoidMaxCells cells. The bounds hold
+// only for an increasing sigmoid, so it leaves the grid empty — every draw
+// takes the exact path — unless the width is positive and that range is
+// not empty (NaN parameters fail both).
+func (t *LinkTable) buildSigmoidGrid() {
+	span := t.prrMidpointDBm + sigmoidTopWidths*t.prrWidthDB - t.sensitivityDBm
+	if !(t.prrWidthDB > 0 && span > 0) {
+		return
+	}
+	cells := sigmoidMaxCells
+	if c := span / sigmoidStep; c < sigmoidMaxCells {
+		cells = int(math.Ceil(c))
+	}
+	t.sigmoid = make([]sigmoidCell, cells)
+	p0 := t.prrFromRSSI(t.sigmoidEdge(0))
+	for i := range t.sigmoid {
+		p1 := t.prrFromRSSI(t.sigmoidEdge(i + 1))
+		t.sigmoid[i] = sigmoidCell{lo: p0 * (1 - sigmoidSlack), hi: p1 * (1 + sigmoidSlack)}
+		p0 = p1
+	}
 }
 
 // newLogDistanceTable snapshots the log-distance backend: the RSSI matrix
@@ -97,6 +153,7 @@ func newLogDistanceTable(params Params, rssi [][]float64) *LinkTable {
 	for k := 1; k <= n; k++ {
 		t.log2[k] = math.Log2(float64(k))
 	}
+	t.buildSigmoidGrid()
 	return t
 }
 
@@ -153,6 +210,32 @@ func (t *LinkTable) prrFromRSSI(rssi float64) float64 {
 	return 1 / (1 + math.Exp(-(rssi-t.prrMidpointDBm)/t.prrWidthDB))
 }
 
+// sigmoidDraw returns u < prrFromRSSI(faded), the final comparison of a
+// log-distance reception draw, mostly without the math.Exp: below the
+// sensitivity floor the PRR is 0, and on the grid the cell holding faded
+// bounds the PRR from both sides (the sigmoid is increasing), so only a u
+// between the bounds — a fraction of a percent of draws — and faded
+// powers off the grid (±Inf, NaN, past the top) evaluate the sigmoid. The
+// caller draws u exactly as before, so draws and outcomes are unchanged.
+func (t *LinkTable) sigmoidDraw(u, faded float64) bool {
+	if faded < t.sensitivityDBm {
+		return false // prrFromRSSI is 0 and u >= 0
+	}
+	if f := (faded - t.sensitivityDBm) / sigmoidStep; f < float64(len(t.sigmoid)) {
+		i := int(f)
+		c := &t.sigmoid[i]
+		if t.sigmoidEdge(i) <= faded && faded < t.sigmoidEdge(i+1) {
+			if u < c.lo {
+				return true
+			}
+			if u >= c.hi {
+				return false
+			}
+		}
+	}
+	return u < t.prrFromRSSI(faded)
+}
+
 // drawLogDistance is the log-distance reception draw for count concurrent
 // transmitters whose strongest mean RSSI at the receiver is best: a beating
 // draw (at >= 2 transmitters), a fading draw, then the RSSI→PRR sigmoid.
@@ -167,7 +250,7 @@ func (t *LinkTable) drawLogDistance(count int, best float64, rng *rand.Rand) boo
 		log2Count = math.Log2(float64(count))
 	}
 	faded := best + rng.NormFloat64()*t.fadingSigmaDB + t.ctGainDB*log2Count
-	return rng.Float64() < t.prrFromRSSI(faded)
+	return t.sigmoidDraw(rng.Float64(), faded)
 }
 
 // ReceiveSingle draws one reception attempt for a lone transmission
@@ -181,7 +264,7 @@ func (t *LinkTable) ReceiveSingle(tx, rx int, rng *rand.Rand) bool {
 		return Draw(t.prr[i], rng)
 	}
 	faded := t.rssi[i] + rng.NormFloat64()*t.fadingSigmaDB
-	return rng.Float64() < t.prrFromRSSI(faded)
+	return t.sigmoidDraw(rng.Float64(), faded)
 }
 
 // ReceiveConcurrentFast draws one reception attempt at rx when every node

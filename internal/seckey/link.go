@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"iotmpc/internal/field"
 )
@@ -33,22 +34,44 @@ func NewLink(key Key) *Link {
 	return l
 }
 
+// Block is the working block of SealVectorTo and OpenVectorTo: scratch
+// for the keystream and the MAC. The block cipher sits behind an
+// interface, so a block it encrypts in place escapes to the heap; a caller
+// that owns one and reuses it seals and opens without allocating.
+type Block = [aes.BlockSize]byte
+
 // SealVector encrypts and authenticates a whole share vector: one CTR
 // keystream over the packed 8·L-byte payload and a single truncated CMAC
 // tag for the vector. ctx.VecLen is overwritten with len(values), binding
 // the length into the nonce and MIC.
 func (l *Link) SealVector(ctx PacketContext, values []field.Element) ([]byte, error) {
+	return l.SealVectorTo(nil, new(Block), ctx, values)
+}
+
+// SealVectorTo is SealVector into caller-owned memory: it appends the
+// sealed packet to dst and returns the extended slice, as cipher.AEAD.Seal
+// does, and uses blk as its working block. Pass dst[:0] to reuse dst's
+// storage.
+func (l *Link) SealVectorTo(dst []byte, blk *Block, ctx PacketContext, values []field.Element) ([]byte, error) {
 	if len(values) > MaxVectorElems {
 		return nil, fmt.Errorf("%w: %d elements", ErrBadVectorLen, len(values))
 	}
 	ctx.VecLen = uint16(len(values))
-	return l.seal(ctx, values), nil
+	return l.seal(dst, blk, ctx, values), nil
 }
 
 // OpenVector verifies and decrypts a sealed share vector of exactly vecLen
 // elements. A truncated packet returns ErrShortPacket; a tampered packet, or
 // one sealed under a different length, slot, or round, returns ErrAuthFailed.
 func (l *Link) OpenVector(ctx PacketContext, vecLen int, sealed []byte) ([]field.Element, error) {
+	return l.OpenVectorTo(nil, new(Block), ctx, vecLen, sealed)
+}
+
+// OpenVectorTo is OpenVector into caller-owned memory: it appends the
+// vecLen opened values to dst and returns the extended slice, as
+// cipher.AEAD.Open does, and uses blk as its working block. Pass dst[:0] to
+// reuse dst's storage.
+func (l *Link) OpenVectorTo(dst []field.Element, blk *Block, ctx PacketContext, vecLen int, sealed []byte) ([]field.Element, error) {
 	if vecLen < 0 || vecLen > MaxVectorElems {
 		return nil, fmt.Errorf("%w: %d elements", ErrBadVectorLen, vecLen)
 	}
@@ -56,42 +79,45 @@ func (l *Link) OpenVector(ctx PacketContext, vecLen int, sealed []byte) ([]field
 	if len(sealed) < SealedVectorSize(vecLen) {
 		return nil, fmt.Errorf("%w: %d bytes for %d elements", ErrShortPacket, len(sealed), vecLen)
 	}
-	return l.open(ctx, vecLen, sealed)
+	return l.open(dst, blk, ctx, vecLen, sealed)
 }
 
-// seal encrypts values under ctx as given and appends the MIC over
-// nonce ‖ ciphertext.
-func (l *Link) seal(ctx PacketContext, values []field.Element) []byte {
-	// blk is the call's one working block, for the keystream and then the
-	// MAC. The block cipher sits behind an interface, so it escapes: one
-	// small allocation per call, whatever the vector length.
-	blk := new([aes.BlockSize]byte)
+// seal encrypts values under ctx as given, appends the ciphertext and the
+// MIC over nonce ‖ ciphertext to dst, and returns the extended slice.
+func (l *Link) seal(dst []byte, blk *Block, ctx PacketContext, values []field.Element) []byte {
 	nonce := ctx.nonce()
 	ct := 8 * len(values)
-	out := make([]byte, SealedVectorSize(len(values)))
+	size := SealedVectorSize(len(values))
+	if dst == nil {
+		dst = make([]byte, 0, size) // one exact allocation
+	}
+	dst = slices.Grow(dst, size)
+	out := dst[len(dst) : len(dst)+size]
 	for i, v := range values {
 		binary.LittleEndian.PutUint64(out[8*i:], v.Uint64()^l.keyWord(blk, &nonce, i))
 	}
 	l.cmac(blk, nonce[:], out[:ct])
 	copy(out[ct:], blk[:TagSize])
-	return out
+	return dst[:len(dst)+len(out)]
 }
 
 // open checks the MIC of a packet holding at least vecLen sealed elements,
-// then decrypts straight into the returned values.
-func (l *Link) open(ctx PacketContext, vecLen int, sealed []byte) ([]field.Element, error) {
-	blk := new([aes.BlockSize]byte) // as in seal
+// then decrypts them, appending the values to dst.
+func (l *Link) open(dst []field.Element, blk *Block, ctx PacketContext, vecLen int, sealed []byte) ([]field.Element, error) {
 	nonce := ctx.nonce()
 	ct := 8 * vecLen
 	l.cmac(blk, nonce[:], sealed[:ct])
 	if !tagEqual(blk[:TagSize], sealed[ct:ct+TagSize]) {
 		return nil, ErrAuthFailed
 	}
-	values := make([]field.Element, vecLen)
-	for i := range values {
-		values[i] = field.New(binary.LittleEndian.Uint64(sealed[8*i:]) ^ l.keyWord(blk, &nonce, i))
+	if dst == nil {
+		dst = make([]field.Element, 0, vecLen) // an empty vector opens to [], not nil
 	}
-	return values, nil
+	dst = slices.Grow(dst, vecLen)
+	for i := 0; i < vecLen; i++ {
+		dst = append(dst, field.New(binary.LittleEndian.Uint64(sealed[8*i:])^l.keyWord(blk, &nonce, i)))
+	}
+	return dst, nil
 }
 
 // keyWord returns the CTR keystream word covering payload element i. Each

@@ -78,7 +78,7 @@ func (c PacketContext) nonce() [aes.BlockSize]byte {
 // SealShare encrypts and authenticates one share value under the pairwise
 // key, bound to ctx.
 func SealShare(key Key, ctx PacketContext, value field.Element) ([]byte, error) {
-	return NewLink(key).seal(ctx, []field.Element{value}), nil
+	return NewLink(key).seal(nil, new(Block), ctx, []field.Element{value}), nil
 }
 
 // OpenShare verifies and decrypts a sealed share.
@@ -86,7 +86,7 @@ func OpenShare(key Key, ctx PacketContext, sealed []byte) (field.Element, error)
 	if len(sealed) < SealedShareSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrShortPacket, len(sealed))
 	}
-	values, err := NewLink(key).open(ctx, 1, sealed)
+	values, err := NewLink(key).open(nil, new(Block), ctx, 1, sealed)
 	if err != nil {
 		return 0, err
 	}

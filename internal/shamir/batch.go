@@ -28,32 +28,52 @@ type ShareVector struct {
 // vector is valid and yields empty ShareVectors — absent readings aggregate
 // as zero downstream.
 func SplitVec(secrets []field.Element, degree int, points []field.Element, rng io.Reader) ([]ShareVector, error) {
+	m := len(secrets)
+	flat := make([]field.Element, len(points)*m)
+	if err := SplitVecInto(flat, secrets, degree, points, rng, make(field.Poly, max(degree+1, 0))); err != nil {
+		return nil, err
+	}
+	out := make([]ShareVector, len(points))
+	for j, x := range points {
+		out[j] = ShareVector{X: x, Values: flat[j*m : (j+1)*m : (j+1)*m]}
+	}
+	return out, nil
+}
+
+// SplitVecInto is SplitVec into caller-owned memory: dst (length
+// len(points)·len(secrets)) receives point j's share of secrets[k] at
+// dst[j·len(secrets)+k], and poly (at least degree+1 elements) holds each
+// sampled polynomial in turn. It draws from rng exactly as SplitVec does
+// whatever the points, so a caller that ships only some shares evaluates
+// only those points.
+func SplitVecInto(dst, secrets []field.Element, degree int, points []field.Element, rng io.Reader, poly field.Poly) error {
 	if degree < 0 {
-		return nil, fmt.Errorf("%w: negative degree %d", ErrBadParams, degree)
+		return fmt.Errorf("%w: negative degree %d", ErrBadParams, degree)
 	}
 	if len(points) < degree+1 {
-		return nil, fmt.Errorf("%w: %d points for degree %d (need >= %d)",
+		return fmt.Errorf("%w: %d points for degree %d (need >= %d)",
 			ErrBadParams, len(points), degree, degree+1)
 	}
 	for _, x := range points {
 		if x.IsZero() {
-			return nil, fmt.Errorf("%w: public point 0 would leak the secret", ErrBadParams)
+			return fmt.Errorf("%w: public point 0 would leak the secret", ErrBadParams)
 		}
 	}
-	out := make([]ShareVector, len(points))
-	for j, x := range points {
-		out[j] = ShareVector{X: x, Values: make([]field.Element, len(secrets))}
+	m := len(secrets)
+	if len(dst) != len(points)*m || len(poly) < degree+1 {
+		return fmt.Errorf("%w: %d-element destination and %d-coefficient scratch for %d points, %d secrets, degree %d",
+			ErrBadParams, len(dst), len(poly), len(points), m, degree)
 	}
+	poly = poly[:degree+1]
 	for k, secret := range secrets {
-		poly, err := field.NewRandomPoly(secret, degree, rng)
-		if err != nil {
-			return nil, fmt.Errorf("sample polynomial %d: %w", k, err)
+		if err := poly.Randomize(secret, rng); err != nil {
+			return fmt.Errorf("sample polynomial %d: %w", k, err)
 		}
 		for j, x := range points {
-			out[j].Values[k] = poly.Eval(x)
+			dst[j*m+k] = poly.Eval(x)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ReconstructVec recovers the full secret vector from at least degree+1
@@ -62,34 +82,54 @@ func SplitVec(secrets []field.Element, degree int, points []field.Element, rng i
 // fused multiply-accumulate, so the per-coordinate cost is len(shares)
 // multiplications — no inversions on the warm path.
 func ReconstructVec(shares []ShareVector, degree int) ([]field.Element, error) {
+	var width int
+	if len(shares) > 0 {
+		width = len(shares[0].Values)
+	}
+	secrets := make([]field.Element, width)
+	if err := ReconstructVecInto(secrets, shares, degree); err != nil {
+		return nil, err
+	}
+	return secrets, nil
+}
+
+// maxStackPoints is the largest reconstruction whose point list lives on
+// the stack; networks here have at most a few dozen nodes.
+const maxStackPoints = 64
+
+// ReconstructVecInto is ReconstructVec into caller-owned memory: it writes
+// the secret vector to dst, whose length is the width every share vector
+// must have. On a warm coefficient cache it allocates nothing for up to
+// maxStackPoints shares.
+func ReconstructVecInto(dst []field.Element, shares []ShareVector, degree int) error {
 	if degree < 0 {
-		return nil, fmt.Errorf("%w: negative degree %d", ErrBadParams, degree)
+		return fmt.Errorf("%w: negative degree %d", ErrBadParams, degree)
 	}
 	need := degree + 1
 	if len(shares) < need {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrThreshold, len(shares), need)
+		return fmt.Errorf("%w: have %d, need %d", ErrThreshold, len(shares), need)
 	}
 	shares = shares[:need]
-	width := len(shares[0].Values)
-	xs := make([]field.Element, need)
+	var stack [maxStackPoints]field.Element
+	xs := stack[:0]
 	for i, sv := range shares {
-		if len(sv.Values) != width {
-			return nil, fmt.Errorf("%w: share vector %d has %d values, expected %d",
-				ErrBadParams, i, len(sv.Values), width)
+		if len(sv.Values) != len(dst) {
+			return fmt.Errorf("%w: share vector %d has %d values, expected %d",
+				ErrBadParams, i, len(sv.Values), len(dst))
 		}
-		xs[i] = sv.X
+		xs = append(xs, sv.X)
 	}
 	coeffs, err := field.CachedCoefficientsAtZero(xs)
 	if err != nil {
-		return nil, fmt.Errorf("lagrange basis: %w", err)
+		return fmt.Errorf("lagrange basis: %w", err)
 	}
-	secrets := make([]field.Element, width)
+	clear(dst)
 	for i, sv := range shares {
-		if err := field.MulAccVec(secrets, coeffs[i], sv.Values); err != nil {
-			return nil, err
+		if err := field.MulAccVec(dst, coeffs[i], sv.Values); err != nil {
+			return err
 		}
 	}
-	return secrets, nil
+	return nil
 }
 
 // AggregateShareVectors sums share vectors bound to the same public point —

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -54,16 +55,24 @@ type RadioLedger struct {
 
 // NewRadioLedger creates a ledger for n nodes, all radios off at time zero.
 func NewRadioLedger(n int) *RadioLedger {
-	l := &RadioLedger{
-		state: make([]RadioState, n),
-		since: make([]time.Duration, n),
-		tx:    make([]time.Duration, n),
-		rx:    make([]time.Duration, n),
-	}
+	l := new(RadioLedger)
+	l.Reset(n)
+	return l
+}
+
+// Reset returns the ledger to n nodes, all radios off at time zero, reusing
+// its storage when it is large enough.
+func (l *RadioLedger) Reset(n int) {
+	l.state = slices.Grow(l.state[:0], n)[:n]
+	l.since = slices.Grow(l.since[:0], n)[:n]
+	l.tx = slices.Grow(l.tx[:0], n)[:n]
+	l.rx = slices.Grow(l.rx[:0], n)[:n]
 	for i := range l.state {
 		l.state[i] = RadioOff
 	}
-	return l
+	clear(l.since)
+	clear(l.tx)
+	clear(l.rx)
 }
 
 // NumNodes returns the ledger width.

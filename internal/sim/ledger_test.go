@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -32,6 +33,24 @@ func TestLedgerAccumulatesByState(t *testing.T) {
 	}
 	if got := l.OnTime(1); got != 0 {
 		t.Errorf("idle node OnTime = %v, want 0", got)
+	}
+}
+
+// TestLedgerReset reuses a ledger left mid-state at a larger and a smaller
+// width: each Reset must equal a fresh ledger of that width.
+func TestLedgerReset(t *testing.T) {
+	l := NewRadioLedger(4)
+	for _, n := range []int{6, 2} {
+		if err := l.SetState(1, RadioRx, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AddBulk(0, time.Millisecond, 2*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		l.Reset(n)
+		if !reflect.DeepEqual(l, NewRadioLedger(n)) {
+			t.Fatalf("Reset(%d) = %+v, want a fresh ledger", n, l)
+		}
 	}
 }
 

@@ -21,3 +21,11 @@ func DeriveSeed(root int64, stream uint64) int64 {
 func NewRNG(root int64, stream uint64) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(root, stream)))
 }
+
+// ReseedRNG resets rng to the stream NewRNG(root, stream) returns: Seed
+// restarts the source and drops any bytes buffered by Read, so a pooled
+// *rand.Rand replays a fresh one draw for draw without allocating another
+// ~5 KB source.
+func ReseedRNG(rng *rand.Rand, root int64, stream uint64) {
+	rng.Seed(DeriveSeed(root, stream))
+}

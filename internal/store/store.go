@@ -23,6 +23,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -518,16 +519,17 @@ func (s *Store) GC() (jobsPruned, rowsSwept int, err error) {
 func (s *Store) checkpoint() error {
 	snap := snapshot{Schema: SchemaVersion, Jobs: s.jobList(), Rows: s.rows,
 		JobKeys: s.jobKeys, Assignments: s.assignments}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
-	}
 	tmp, err := os.CreateTemp(s.dir, "snapshot.tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
+	w := bufio.NewWriter(tmp)
+	if err := writeSnapshot(w, snap); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := w.Flush(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
@@ -548,6 +550,67 @@ func (s *Store) checkpoint() error {
 		return fmt.Errorf("store: rewind wal: %w", err)
 	}
 	s.walRecords = 0
+	return nil
+}
+
+// writeSnapshot writes the bytes json.Marshal(snap) encodes, one row at a
+// time. Rows are most of a snapshot; marshaling it whole held it in memory
+// twice, once in the encoder's pooled buffer, which keeps that size after
+// the checkpoint, so the process's peak memory grew with the row count.
+// Write errors stick in w, and the caller's Flush reports them.
+func writeSnapshot(w *bufio.Writer, snap snapshot) error {
+	field := func(prefix string, v any) error {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("store: encode snapshot: %w", err)
+		}
+		w.WriteString(prefix)
+		w.Write(raw)
+		return nil
+	}
+	if err := field(`{"schema":`, snap.Schema); err != nil {
+		return err
+	}
+	if err := field(`,"jobs":`, snap.Jobs); err != nil {
+		return err
+	}
+	if snap.Rows == nil {
+		w.WriteString(`,"rows":null`)
+	}
+	keys := make([]string, 0, len(snap.Rows))
+	for k := range snap.Rows {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if snap.Rows != nil {
+		w.WriteString(`,"rows":{`)
+	}
+	for i, k := range keys {
+		sep := ","
+		if i == 0 {
+			sep = ""
+		}
+		if err := field(sep, k); err != nil {
+			return err
+		}
+		if err := field(":", snap.Rows[k]); err != nil {
+			return err
+		}
+	}
+	if snap.Rows != nil {
+		w.WriteString("}")
+	}
+	if len(snap.JobKeys) > 0 {
+		if err := field(`,"jobKeys":`, snap.JobKeys); err != nil {
+			return err
+		}
+	}
+	if len(snap.Assignments) > 0 {
+		if err := field(`,"assignments":`, snap.Assignments); err != nil {
+			return err
+		}
+	}
+	w.WriteString("}")
 	return nil
 }
 

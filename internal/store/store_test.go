@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -641,5 +643,48 @@ func TestGCPrunesAssignments(t *testing.T) {
 	defer r.Close()
 	if _, ok := r.Assignments(jobs[0].ID); ok {
 		t.Error("pruned assignments resurrected on reopen")
+	}
+}
+
+// TestWriteSnapshotMatchesMarshal pins the streamed checkpoint to the bytes
+// json.Marshal writes for the same snapshot, so the on-disk format is
+// unchanged: rows in key order, values compacted and HTML-escaped as the
+// encoder does, the omitempty maps omitted, and nil rows written as null.
+func TestWriteSnapshotMatchesMarshal(t *testing.T) {
+	full := snapshot{
+		Schema: SchemaVersion,
+		Jobs: []Job{
+			{ID: "j000001", Spec: json.RawMessage(`{"nodeCounts": [8]}`), State: Done, Cells: 2, Completed: 2},
+			{ID: "j000002", Spec: json.RawMessage(`{}`), State: Failed, Error: "x < y & z"},
+		},
+		Rows: map[string]json.RawMessage{
+			"b2":      json.RawMessage(`{"a": 1,  "s": "<tag>&"}`),
+			"a1":      json.RawMessage(`[1, 2, 3]`),
+			"c3<&>\n": json.RawMessage(`"v"`),
+		},
+		JobKeys:     map[string][]string{"j000001": {"a1", "b2"}},
+		Assignments: map[string][]ShardAssignment{"j000001": {{Shard: 0, Total: 1, State: "done", Worker: "w1"}}},
+	}
+	for name, snap := range map[string]snapshot{
+		"full":    full,
+		"no-maps": {Schema: SchemaVersion, Jobs: full.Jobs, Rows: full.Rows},
+		"empty":   {Schema: SchemaVersion, Rows: map[string]json.RawMessage{}},
+		"nil":     {Schema: SchemaVersion},
+	} {
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		w := bufio.NewWriter(&got)
+		if err := writeSnapshot(w, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s:\n got %s\nwant %s", name, got.Bytes(), want)
+		}
 	}
 }
