@@ -174,15 +174,11 @@ func streamResults(ctx context.Context, base string, job store.Job, mf matrixFla
 	if resp.StatusCode != http.StatusOK {
 		return apiError(resp)
 	}
-	format, err := outputFormat(mf)
-	if err != nil {
-		return err
-	}
-	if format == "jsonl" {
+	if mf.out == "jsonl" {
 		_, err := io.Copy(os.Stdout, resp.Body)
 		return err
 	}
-	sink, err := outputSink(format)
+	sink, err := outputSink(mf.out)
 	if err != nil {
 		return err
 	}

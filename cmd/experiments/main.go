@@ -7,14 +7,17 @@
 // Matrix sweeps run on the streaming Runner: results appear (in index
 // order) the moment each cell completes, `-cache` makes repeated or
 // interrupted sweeps pay only for new cells, and `-out` selects the output
-// stream format.
+// stream format. The Fig. 1, baseline and scalability panels run on the
+// Runner too, across all cores with 64-lane trial batches, every cell
+// seeded with -seed itself; `-out csv|jsonl` streams a single Fig. 1
+// panel's cells in the matrix formats instead of printing its table.
 //
 // Examples:
 //
 //	experiments -panel all -iters 100
 //	experiments -panel fig1a -iters 2000        # paper-scale repetitions
 //	experiments -panel coverage
-//	experiments -panel fig1c -csv > dcube.csv
+//	experiments -panel fig1c -out csv > dcube.csv
 //	experiments -panel matrix -nodes 15,25,40 -loss 0.0,0.2,0.4 -workers 8
 //	experiments -panel matrix -nodes 20 -degrees 4,6,9 -out csv > matrix.csv
 //	experiments -panel matrix -nodes 20 -phy logdist,unitdisk         # backend axis
@@ -73,9 +76,8 @@ type matrixFlags struct {
 	iters                        int
 	seed                         int64
 	workers, lanes               int
-	csv, progress                bool
+	progress                     bool
 	cacheDir, out                string
-	outSet                       bool
 	shard                        string
 	steal                        bool
 	shards                       int
@@ -108,7 +110,6 @@ func run(args []string) error {
 			"panel: fig1a, fig1b, fig1c, fig1d, gains, coverage, baseline, scalability, matrix, all")
 		iters      = fs.Int("iters", 50, "Monte-Carlo iterations per point (paper: 2000)")
 		seed       = fs.Int64("seed", 1, "randomness seed")
-		csv        = fs.Bool("csv", false, "emit CSV instead of tables (matrix: alias for -out csv)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile to `file` at exit")
 	)
@@ -130,7 +131,8 @@ func run(args []string) error {
 	fs.StringVar(&mf.cacheDir, "cache", "",
 		"matrix: content-addressed result cache directory (repeated sweeps skip cached cells)")
 	fs.BoolVar(&mf.progress, "progress", false, "matrix: narrate per-cell progress on stderr")
-	fs.StringVar(&mf.out, "out", "table", "matrix output stream: table, csv, jsonl")
+	fs.StringVar(&mf.out, "out", "table",
+		"output stream: table, csv, jsonl (csv and jsonl: -panel matrix and fig1a-fig1d)")
 	fs.StringVar(&mf.shard, "shard", "",
 		"matrix: run only shard i of N (format i/N); shards share -cache and `experiments merge` reassembles the byte-identical sweep")
 	fs.BoolVar(&mf.steal, "steal", false,
@@ -144,12 +146,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mf.iters, mf.seed, mf.csv = *iters, *seed, *csv
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			mf.outSet = true
-		}
-	})
+	mf.iters, mf.seed = *iters, *seed
 
 	if mf.stats {
 		if mf.cacheDir == "" {
@@ -194,13 +191,36 @@ func run(args []string) error {
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "workers", "lanes", "nodes", "degrees", "loss", "phy",
-			"ntx", "slack", "fail", "verifiable", "veclen", "cache", "progress", "out",
+			"ntx", "slack", "fail", "verifiable", "veclen", "cache", "progress",
 			"shard", "steal", "shards", "server":
 			misused = append(misused, "-"+f.Name)
 		}
 	})
 	if len(misused) > 0 {
 		return fmt.Errorf("%s only apply to -panel matrix", strings.Join(misused, ", "))
+	}
+
+	if mf.out != "table" {
+		// A single Fig. 1 panel streams its sweep's cells through the
+		// matrix sinks: both metrics of the panel's testbed, one line per
+		// (sources, protocol) cell.
+		sweep, ok := map[string]func(int, int64) experiment.SweepSpec{
+			"fig1a": experiment.FlockLabSweep, "fig1b": experiment.FlockLabSweep,
+			"fig1c": experiment.DCubeSweep, "fig1d": experiment.DCubeSweep,
+		}[*panel]
+		if !ok {
+			return fmt.Errorf("-out %s only applies to -panel matrix and fig1a-fig1d", mf.out)
+		}
+		cells, err := sweep(*iters, *seed).Scenarios()
+		if err != nil {
+			return err
+		}
+		sink, err := outputSink(mf.out)
+		if err != nil {
+			return err
+		}
+		_, err = experiment.NewRunner(experiment.WithSinks(sink)).RunScenarios(cells)
+		return err
 	}
 
 	needFlockLab := *panel == "fig1a" || *panel == "fig1b" || *panel == "gains" || *panel == "all"
@@ -224,23 +244,6 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("dcube sweep: %w", err)
 		}
-	}
-
-	switch {
-	case *csv && flockRes != nil && dcubeRes != nil:
-		fmt.Print(flockRes.CSV())
-		// Skip the duplicate header on the second sweep.
-		csvBody := dcubeRes.CSV()
-		if idx := indexAfterFirstLine(csvBody); idx > 0 {
-			fmt.Print(csvBody[idx:])
-		}
-		return nil
-	case *csv && flockRes != nil:
-		fmt.Print(flockRes.CSV())
-		return nil
-	case *csv && dcubeRes != nil:
-		fmt.Print(dcubeRes.CSV())
-		return nil
 	}
 
 	printPanel := func(id string, res *experiment.SweepResult, m experiment.Metric) {
@@ -269,11 +272,11 @@ func run(args []string) error {
 		fmt.Println(experiment.BaselineTable(rows))
 	}
 	if needScalability {
-		points, err := experiment.ScalabilitySweep([]int{15, 25, 40, 60}, *iters, *seed)
+		rows, err := experiment.ScalabilitySweep([]int{15, 25, 40, 60}, *iters, *seed)
 		if err != nil {
 			return fmt.Errorf("scalability sweep: %w", err)
 		}
-		fmt.Println(experiment.ScalabilityTable(points))
+		fmt.Println(experiment.ScalabilityTable(rows))
 	}
 	if needCoverage {
 		for _, tb := range []topology.Topology{topology.FlockLab(), topology.DCube()} {
@@ -352,21 +355,6 @@ func buildMatrix(mf matrixFlags) (experiment.Matrix, error) {
 	}, nil
 }
 
-// outputFormat resolves -out against the legacy -csv alias.
-func outputFormat(mf matrixFlags) (string, error) {
-	format := mf.out
-	if mf.csv {
-		// -csv predates -out; honoring it quietly is fine when -out was left
-		// at its default, but an explicit conflicting -out must not be
-		// clobbered.
-		if mf.outSet && format != "csv" {
-			return "", fmt.Errorf("-csv conflicts with -out %s; pick one", format)
-		}
-		format = "csv"
-	}
-	return format, nil
-}
-
 // parseShard parses the -shard flag's "i/N" form; "" is the unsharded spec.
 func parseShard(s string, steal bool) (experiment.ShardSpec, error) {
 	if s == "" {
@@ -437,11 +425,7 @@ func runMatrix(ctx context.Context, mf matrixFlags) error {
 			return fmt.Errorf("-steal needs -cache (stolen results land in the shared cache)")
 		}
 	}
-	format, err := outputFormat(mf)
-	if err != nil {
-		return err
-	}
-	sink, err := outputSink(format)
+	sink, err := outputSink(mf.out)
 	if err != nil {
 		return err
 	}
@@ -524,11 +508,7 @@ func runMerge(mf matrixFlags) error {
 	if err != nil {
 		return fmt.Errorf("merge: %w", err)
 	}
-	format, err := outputFormat(mf)
-	if err != nil {
-		return err
-	}
-	sink, err := outputSink(format)
+	sink, err := outputSink(mf.out)
 	if err != nil {
 		return err
 	}
@@ -629,13 +609,4 @@ func printGains(flockRes, dcubeRes *experiment.SweepResult) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-func indexAfterFirstLine(s string) int {
-	for i, c := range s {
-		if c == '\n' {
-			return i + 1
-		}
-	}
-	return -1
 }

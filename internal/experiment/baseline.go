@@ -29,7 +29,8 @@ type BaselineRow struct {
 }
 
 // BaselineComparison runs S3, S4 and HE-PPDA on the full FlockLab network
-// and returns one row per protocol.
+// and returns one row per protocol. The S3 and S4 rows run on the Runner;
+// SSS compute is microseconds, so their charge is radio-dominated.
 func BaselineComparison(iterations int, seed int64) ([]BaselineRow, error) {
 	if iterations <= 0 {
 		return nil, fmt.Errorf("%w: iterations %d", ErrBadSpec, iterations)
@@ -43,41 +44,31 @@ func BaselineComparison(iterations int, seed int64) ([]BaselineRow, error) {
 	params := phy.DefaultParams()
 	const mcuCurrentMA = 6.3 // nRF52840 CPU running from flash
 
+	cfg, err := core.Config{Topology: testbed, Protocol: core.S4, Sources: sources}.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	sssCPU := cfg.CPU.Interpolation(cfg.Degree + 1)
+	results, err := NewRunner().RunScenarios(appendProtocolPair(nil, Scenario{
+		Testbed:    testbed.Name,
+		LossRate:   DefaultLossRate,
+		NTXSharing: 6,
+		DestSlack:  1,
+		Iterations: iterations,
+		Seed:       seed,
+	}))
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]BaselineRow, 0, 3)
-	for _, proto := range []core.Protocol{core.S3, core.S4} {
-		cfg := core.Config{
-			Topology:    testbed,
-			Protocol:    proto,
-			Sources:     sources,
-			NTXSharing:  6,
-			DestSlack:   1,
-			ChannelSeed: seed,
-		}
-		boot, err := core.RunBootstrap(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var lat, radio metrics.Stream
-		var cpuSum, chargeSum float64
-		for trial := 0; trial < iterations; trial++ {
-			res, err := core.RunRound(boot, uint64(trial))
-			if err != nil {
-				return nil, err
-			}
-			lat.AddDuration(res.MeanLatency)
-			radio.AddDuration(res.MeanRadioOn)
-			// SSS compute is microseconds; charge is radio-dominated.
-			cpu := boot.Config().CPU.Interpolation(boot.Config().Degree + 1)
-			cpuSum += cpu.Seconds() * 1e3
-			chargeSum += params.ChargeMicroCoulombs(0, res.MeanRadioOn)/1e3 +
-				mcuCurrentMA*cpu.Seconds()
-		}
-		row, err := summarizeBaseline(proto.String(), &lat, &radio,
-			cpuSum/float64(iterations), chargeSum/float64(iterations))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+	for _, r := range results {
+		rows = append(rows, BaselineRow{
+			Protocol:  r.Scenario.Protocol.String(),
+			LatencyMS: r.LatencyMS,
+			RadioOnMS: r.RadioOnMS,
+			CPUBusyMS: sssCPU.Seconds() * 1e3,
+			ChargeMC:  params.RxCurrentMA*r.RadioOnMS.Mean/1e3 + mcuCurrentMA*sssCPU.Seconds(),
+		})
 	}
 
 	heCfg := hepda.Config{
@@ -103,31 +94,21 @@ func BaselineComparison(iterations int, seed int64) ([]BaselineRow, error) {
 		chargeSum += params.ChargeMicroCoulombs(0, res.MeanRadioOn)/1e3 +
 			mcuCurrentMA*cpuMean.Seconds()
 	}
-	row, err := summarizeBaseline("HE", &lat, &radio,
-		cpuSum/float64(iterations), chargeSum/float64(iterations))
+	latSum, err := lat.Summarize()
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, row)
-	return rows, nil
-}
-
-func summarizeBaseline(name string, lat, radio *metrics.Stream, cpuMS, chargeMC float64) (BaselineRow, error) {
-	latSum, err := lat.Summarize()
-	if err != nil {
-		return BaselineRow{}, err
-	}
 	radioSum, err := radio.Summarize()
 	if err != nil {
-		return BaselineRow{}, err
+		return nil, err
 	}
-	return BaselineRow{
-		Protocol:  name,
+	return append(rows, BaselineRow{
+		Protocol:  "HE",
 		LatencyMS: latSum,
 		RadioOnMS: radioSum,
-		CPUBusyMS: cpuMS,
-		ChargeMC:  chargeMC,
-	}, nil
+		CPUBusyMS: cpuSum / float64(iterations),
+		ChargeMC:  chargeSum / float64(iterations),
+	}), nil
 }
 
 // BaselineTable renders the comparison.

@@ -12,7 +12,6 @@ import (
 
 	"iotmpc/internal/core"
 	"iotmpc/internal/metrics"
-	"iotmpc/internal/topology"
 )
 
 // Errors returned by the harness.
@@ -23,10 +22,9 @@ var (
 
 // SweepSpec describes one testbed sweep (one column of Fig. 1).
 type SweepSpec struct {
-	// Name labels the sweep in tables ("flocklab", "dcube").
+	// Name is the testbed the sweep runs on (see NamedTestbed) and labels
+	// the sweep in tables ("flocklab", "dcube").
 	Name string
-	// Testbed is the node layout.
-	Testbed topology.Topology
 	// SourceCounts is the x-axis of the figure.
 	SourceCounts []int
 	// NTXSharing is S4's low NTX (paper: 6 on FlockLab, 5 on D-Cube).
@@ -44,7 +42,6 @@ type SweepSpec struct {
 func FlockLabSweep(iterations int, seed int64) SweepSpec {
 	return SweepSpec{
 		Name:         "flocklab",
-		Testbed:      topology.FlockLab(),
 		SourceCounts: []int{3, 6, 10, 24},
 		NTXSharing:   6,
 		DestSlack:    1,
@@ -58,7 +55,6 @@ func FlockLabSweep(iterations int, seed int64) SweepSpec {
 func DCubeSweep(iterations int, seed int64) SweepSpec {
 	return SweepSpec{
 		Name:         "dcube",
-		Testbed:      topology.DCube(),
 		SourceCounts: []int{5, 7, 12, 45},
 		NTXSharing:   5,
 		DestSlack:    1,
@@ -67,24 +63,15 @@ func DCubeSweep(iterations int, seed int64) SweepSpec {
 	}
 }
 
-// Point is one (source count, protocol) cell of a sweep.
-type Point struct {
-	Sources      int             `json:"sources"`
-	Protocol     string          `json:"protocol"`
-	LatencyMS    metrics.Summary `json:"latencyMs"`
-	RadioOnMS    metrics.Summary `json:"radioOnMs"`
-	SuccessRate  float64         `json:"successRate"`
-	NTXUsed      int             `json:"ntxUsed"`
-	SharingChain int             `json:"sharingChain"`
-}
-
-// Row pairs the S3 and S4 points for one source count.
+// Row pairs an S3 cell with its S4 twin: one source count of a sweep, or
+// one network size of the scalability study. Sources is the cells'
+// SourceCount (0: every node).
 type Row struct {
-	Sources      int     `json:"sources"`
-	S3           Point   `json:"s3"`
-	S4           Point   `json:"s4"`
-	LatencyRatio float64 `json:"latencyRatio"`
-	RadioRatio   float64 `json:"radioRatio"`
+	Sources      int            `json:"sources"`
+	S3           ScenarioResult `json:"s3"`
+	S4           ScenarioResult `json:"s4"`
+	LatencyRatio float64        `json:"latencyRatio"`
+	RadioRatio   float64        `json:"radioRatio"`
 }
 
 // SweepResult is a completed sweep.
@@ -107,92 +94,76 @@ func SpreadSources(n, s int) ([]int, error) {
 	return out, nil
 }
 
-// RunSweep executes the sweep: for every source count, both protocols run
-// Iterations rounds over paired randomness.
-func RunSweep(spec SweepSpec) (*SweepResult, error) {
-	if spec.Iterations <= 0 {
-		return nil, fmt.Errorf("%w: iterations %d", ErrBadSpec, spec.Iterations)
+// Scenarios expands the sweep into its Runner cells: for each source count,
+// the S3 cell then the S4 cell. Unlike Matrix cells, whose seeds are
+// sim.DeriveSeed of the matrix seed, every cell's Seed is the sweep's Seed
+// itself, so both protocols at every source count share one channel
+// realization — the paired comparison the figure draws.
+func (s SweepSpec) Scenarios() ([]Scenario, error) {
+	if s.Iterations <= 0 {
+		return nil, fmt.Errorf("%w: iterations %d", ErrBadSpec, s.Iterations)
 	}
-	if len(spec.SourceCounts) == 0 {
+	if len(s.SourceCounts) == 0 {
 		return nil, fmt.Errorf("%w: no source counts", ErrBadSpec)
 	}
-	result := &SweepResult{Spec: spec}
-	n := spec.Testbed.NumNodes()
-	for _, s := range spec.SourceCounts {
-		sources, err := SpreadSources(n, s)
-		if err != nil {
-			return nil, err
-		}
-		row := Row{Sources: s}
-		for _, proto := range []core.Protocol{core.S3, core.S4} {
-			point, err := runPoint(spec, proto, sources)
-			if err != nil {
-				return nil, fmt.Errorf("%s s=%d %v: %w", spec.Name, s, proto, err)
-			}
-			if proto == core.S3 {
-				row.S3 = point
-			} else {
-				row.S4 = point
-			}
-		}
+	cells := make([]Scenario, 0, 2*len(s.SourceCounts))
+	for _, src := range s.SourceCounts {
+		cells = appendProtocolPair(cells, Scenario{
+			Testbed:     s.Name,
+			SourceCount: src,
+			LossRate:    DefaultLossRate,
+			NTXSharing:  s.NTXSharing,
+			DestSlack:   s.DestSlack,
+			Iterations:  s.Iterations,
+			Seed:        s.Seed,
+		})
+	}
+	return cells, nil
+}
+
+// appendProtocolPair appends sc's S3 cell and then its S4 cell, indexed by
+// their positions in cells.
+func appendProtocolPair(cells []Scenario, sc Scenario) []Scenario {
+	for _, proto := range []core.Protocol{core.S3, core.S4} {
+		sc.Index, sc.Protocol = len(cells), proto
+		cells = append(cells, sc)
+	}
+	return cells
+}
+
+// runPairs runs cells built by appendProtocolPair on a default Runner and
+// folds each (S3, S4) pair into a Row.
+func runPairs(cells []Scenario) ([]Row, error) {
+	results, err := NewRunner().RunScenarios(cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, 0, len(results)/2)
+	for i := 0; i+1 < len(results); i += 2 {
+		row := Row{Sources: results[i].Scenario.SourceCount, S3: results[i], S4: results[i+1]}
 		if row.LatencyRatio, err = metrics.Ratio(row.S3.LatencyMS.Mean, row.S4.LatencyMS.Mean); err != nil {
 			return nil, err
 		}
 		if row.RadioRatio, err = metrics.Ratio(row.S3.RadioOnMS.Mean, row.S4.RadioOnMS.Mean); err != nil {
 			return nil, err
 		}
-		result.Rows = append(result.Rows, row)
+		rows = append(rows, row)
 	}
-	return result, nil
+	return rows, nil
 }
 
-func runPoint(spec SweepSpec, proto core.Protocol, sources []int) (Point, error) {
-	cfg := core.Config{
-		Topology:    spec.Testbed,
-		Protocol:    proto,
-		Sources:     sources,
-		NTXSharing:  spec.NTXSharing,
-		DestSlack:   spec.DestSlack,
-		ChannelSeed: spec.Seed,
-	}
-	boot, err := core.RunBootstrap(cfg)
+// RunSweep executes the sweep on the Runner: for every source count, both
+// protocols run Iterations rounds over paired randomness.
+func RunSweep(spec SweepSpec) (*SweepResult, error) {
+	cells, err := spec.Scenarios()
 	if err != nil {
-		return Point{}, err
+		return nil, err
 	}
-	var lat, radio metrics.Stream
-	okNodes, totalNodes := 0, 0
-	var ntxUsed, chainLen int
-	for trial := 0; trial < spec.Iterations; trial++ {
-		res, err := core.RunRound(boot, uint64(trial))
-		if err != nil {
-			return Point{}, err
-		}
-		if res.CorrectNodes > 0 {
-			lat.AddDuration(res.MeanLatency)
-		}
-		radio.AddDuration(res.MeanRadioOn)
-		okNodes += res.CorrectNodes
-		totalNodes += len(res.NodeOK)
-		ntxUsed = res.NTXUsed
-		chainLen = res.SharingChainLen
-	}
-	latSum, err := lat.Summarize()
+	rows, err := runPairs(cells)
 	if err != nil {
-		return Point{}, fmt.Errorf("latency summary: %w", err)
+		return nil, err
 	}
-	radioSum, err := radio.Summarize()
-	if err != nil {
-		return Point{}, fmt.Errorf("radio summary: %w", err)
-	}
-	return Point{
-		Sources:      len(sources),
-		Protocol:     proto.String(),
-		LatencyMS:    latSum,
-		RadioOnMS:    radioSum,
-		SuccessRate:  float64(okNodes) / float64(totalNodes),
-		NTXUsed:      ntxUsed,
-		SharingChain: chainLen,
-	}, nil
+	return &SweepResult{Spec: spec, Rows: rows}, nil
 }
 
 // Metric selects which panel of a sweep to render.
@@ -235,23 +206,6 @@ func (r *SweepResult) Table(m Metric) string {
 		}
 		fmt.Fprintf(&b, "%-8d %14.1f %14.1f %7.2fx %9.1f%%\n",
 			row.Sources, s3v, s4v, ratio, row.S4.SuccessRate*100)
-	}
-	return b.String()
-}
-
-// CSV renders the sweep as csv with both metrics, one line per
-// (sources, protocol).
-func (r *SweepResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("testbed,sources,protocol,latency_ms_mean,latency_ms_ci95,radio_ms_mean,radio_ms_ci95,success_rate,ntx,sharing_chain\n")
-	for _, row := range r.Rows {
-		for _, p := range []Point{row.S3, row.S4} {
-			fmt.Fprintf(&b, "%s,%d,%s,%.3f,%.3f,%.3f,%.3f,%.4f,%d,%d\n",
-				r.Spec.Name, p.Sources, p.Protocol,
-				p.LatencyMS.Mean, p.LatencyMS.CI95,
-				p.RadioOnMS.Mean, p.RadioOnMS.CI95,
-				p.SuccessRate, p.NTXUsed, p.SharingChain)
-		}
 	}
 	return b.String()
 }

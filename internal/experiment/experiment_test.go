@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"iotmpc/internal/core"
+	"iotmpc/internal/phy"
 	"iotmpc/internal/topology"
 )
 
@@ -103,13 +105,61 @@ func TestTableAndCSVRender(t *testing.T) {
 	if !strings.Contains(radioTable, "Radio-on-time") {
 		t.Errorf("radio table malformed:\n%s", radioTable)
 	}
-	csv := res.CSV()
-	if !strings.HasPrefix(csv, "testbed,sources,protocol") {
-		t.Errorf("csv header malformed:\n%s", csv)
+	// A sweep's CSV is its cells through the matrix CSV sink.
+	var csv strings.Builder
+	sink := &CSVSink{W: &csv}
+	if err := sink.OnStart(Plan{}); err != nil {
+		t.Fatal(err)
 	}
-	lines := strings.Count(strings.TrimSpace(csv), "\n")
-	if lines != 2 { // header + S3 + S4
-		t.Errorf("csv lines = %d, want 2 data rows", lines)
+	for _, r := range []ScenarioResult{res.Rows[0].S3, res.Rows[0].S4} {
+		if err := sink.OnResult(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.OnFinish(RunSummary{}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(csv.String(), strings.Join(matrixCSVHeader, ",")) {
+		t.Errorf("csv header malformed:\n%s", csv.String())
+	}
+	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[1], ",flocklab,") || !strings.Contains(lines[2], ",S4,") {
+		t.Errorf("csv = %q, want header + flocklab S3 + S4 rows", lines)
+	}
+}
+
+func TestSweepSpecScenarios(t *testing.T) {
+	// A panel cell runs the PHY a zero core.Config.PHY normalizes to only
+	// because its loss rate equals the default burst probability; the
+	// panel golden rests on that.
+	if DefaultLossRate != phy.DefaultParams().InterferenceBurstProb {
+		t.Fatalf("DefaultLossRate %v != default PHY burst probability %v",
+			DefaultLossRate, phy.DefaultParams().InterferenceBurstProb)
+	}
+	for _, spec := range []SweepSpec{FlockLabSweep(7, 3), DCubeSweep(2, -9)} {
+		cells, err := spec.Scenarios()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != 2*len(spec.SourceCounts) {
+			t.Fatalf("%s: %d cells, want %d", spec.Name, len(cells), 2*len(spec.SourceCounts))
+		}
+		for i, sc := range cells {
+			want := Scenario{
+				Index:       i,
+				Testbed:     spec.Name,
+				SourceCount: spec.SourceCounts[i/2],
+				LossRate:    DefaultLossRate,
+				Protocol:    []core.Protocol{core.S3, core.S4}[i%2],
+				NTXSharing:  spec.NTXSharing,
+				DestSlack:   spec.DestSlack,
+				Iterations:  spec.Iterations,
+				Seed:        spec.Seed, // pinned, not derived per cell
+			}
+			if sc != want {
+				t.Errorf("%s cell %d = %+v, want %+v", spec.Name, i, sc, want)
+			}
+		}
 	}
 }
 
@@ -164,8 +214,12 @@ func TestCoverageCurveErrors(t *testing.T) {
 
 func TestDCubeSweepSpec(t *testing.T) {
 	spec := DCubeSweep(2000, 42)
-	if spec.Testbed.NumNodes() != 45 {
-		t.Errorf("nodes = %d", spec.Testbed.NumNodes())
+	tb, err := NamedTestbed(spec.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.NumNodes() != 45 {
+		t.Errorf("nodes = %d", tb.NumNodes())
 	}
 	if spec.NTXSharing != 5 {
 		t.Errorf("NTX = %d, want 5 (paper)", spec.NTXSharing)

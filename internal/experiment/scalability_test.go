@@ -7,21 +7,24 @@ import (
 )
 
 func TestScalabilityGainGrowsWithNetworkSize(t *testing.T) {
-	points, err := ScalabilitySweep([]int{15, 40}, 2, 2)
+	rows, err := ScalabilitySweep([]int{15, 40}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
-	small, large := points[0], points[1]
+	small, large := rows[0], rows[1]
+	if small.S3.Scenario.Nodes != 15 || large.S4.Scenario.Nodes != 40 {
+		t.Errorf("sizes = %d, %d, want 15, 40", small.S3.Scenario.Nodes, large.S4.Scenario.Nodes)
+	}
 	if large.LatencyRatio <= small.LatencyRatio {
-		t.Errorf("S4 advantage not growing: n=%d %.2fx vs n=%d %.2fx",
-			small.Nodes, small.LatencyRatio, large.Nodes, large.LatencyRatio)
+		t.Errorf("S4 advantage not growing: n=15 %.2fx vs n=40 %.2fx",
+			small.LatencyRatio, large.LatencyRatio)
 	}
-	for _, p := range points {
-		if p.LatencyRatio <= 1 || p.RadioRatio <= 1 {
-			t.Errorf("n=%d: S4 not winning (%.2fx, %.2fx)", p.Nodes, p.LatencyRatio, p.RadioRatio)
+	for _, r := range rows {
+		if r.LatencyRatio <= 1 || r.RadioRatio <= 1 {
+			t.Errorf("n=%d: S4 not winning (%.2fx, %.2fx)", r.S3.Scenario.Nodes, r.LatencyRatio, r.RadioRatio)
 		}
 	}
 }
@@ -39,7 +42,7 @@ func TestScalabilitySweepErrors(t *testing.T) {
 }
 
 func TestScalabilityTable(t *testing.T) {
-	out := ScalabilityTable([]ScalabilityPoint{{Nodes: 20, LatencyRatio: 3}})
+	out := ScalabilityTable([]Row{{S3: ScenarioResult{Scenario: Scenario{Nodes: 20}}, LatencyRatio: 3}})
 	if !strings.Contains(out, "20") || !strings.Contains(out, "Scalability") {
 		t.Errorf("table malformed:\n%s", out)
 	}
