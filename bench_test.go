@@ -246,15 +246,18 @@ func BenchmarkBaselineHEvsSSS(b *testing.B) {
 		for i := range sources {
 			sources[i] = i
 		}
-		cfg := hepda.Config{
+		he, err := hepda.Prepare(hepda.Config{
 			Topology:    topology.FlockLab(),
 			Sources:     sources,
 			ChannelSeed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 		var totalMS float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := hepda.RunRound(cfg, uint64(i))
+			res, err := he.RunRound(uint64(i))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -349,24 +349,27 @@ func runDirect(testbed topology.Topology, backend phy.Factory, proto core.Protoc
 func runHE(testbed topology.Topology, backend phy.Factory, sources []int, veclen, iters int, seed int64, loss float64, verbose bool) error {
 	params := phy.DefaultParams()
 	params.InterferenceBurstProb = loss
-	cfg := hepda.Config{
-		Topology:    testbed,
-		PHY:         params,
-		Backend:     backend,
-		Sources:     sources,
-		VectorLen:   veclen,
-		ChannelSeed: seed,
-	}
 	vecNote := ""
 	if veclen > 0 {
 		vecNote = fmt.Sprintf(" veclen=%d", veclen)
 	}
 	fmt.Printf("testbed=%s nodes=%d protocol=HE (Paillier 2048-bit model) sources=%d%s\n",
 		testbed.Name, testbed.NumNodes(), len(sources), vecNote)
+	he, err := hepda.Prepare(hepda.Config{
+		Topology:    testbed,
+		PHY:         params,
+		Backend:     backend,
+		Sources:     sources,
+		VectorLen:   veclen,
+		ChannelSeed: seed,
+	})
+	if err != nil {
+		return err
+	}
 	var lat, radio metrics.Stream
 	correct := 0
 	for trial := 0; trial < iters; trial++ {
-		res, err := hepda.RunRound(cfg, uint64(trial))
+		res, err := he.RunRound(uint64(trial))
 		if err != nil {
 			return err
 		}

@@ -9,6 +9,7 @@ import (
 	"iotmpc/internal/hepda"
 	"iotmpc/internal/metrics"
 	"iotmpc/internal/phy"
+	"iotmpc/internal/sim"
 	"iotmpc/internal/topology"
 )
 
@@ -30,7 +31,8 @@ type BaselineRow struct {
 
 // BaselineComparison runs S3, S4 and HE-PPDA on the full FlockLab network
 // and returns one row per protocol. The S3 and S4 rows run on the Runner;
-// SSS compute is microseconds, so their charge is radio-dominated.
+// SSS compute is microseconds, so their charge is radio-dominated. The HE
+// row runs its trials in parallel over one prepared deployment.
 func BaselineComparison(iterations int, seed int64) ([]BaselineRow, error) {
 	if iterations <= 0 {
 		return nil, fmt.Errorf("%w: iterations %d", ErrBadSpec, iterations)
@@ -71,18 +73,27 @@ func BaselineComparison(iterations int, seed int64) ([]BaselineRow, error) {
 		})
 	}
 
-	heCfg := hepda.Config{
+	he, err := hepda.Prepare(hepda.Config{
 		Topology:    testbed,
 		Sources:     sources,
 		ChannelSeed: seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Trials are independent given the seed: run them on every core, then
+	// fold them in trial order so the sums match a serial loop bit for bit.
+	trials := make([]*hepda.RoundResult, iterations)
+	if err := sim.ParallelFor(iterations, 0, func(i int) error {
+		var err error
+		trials[i], err = he.RunRound(uint64(i))
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	var lat, radio metrics.Stream
 	var cpuSum, chargeSum float64
-	for trial := 0; trial < iterations; trial++ {
-		res, err := hepda.RunRound(heCfg, uint64(trial))
-		if err != nil {
-			return nil, err
-		}
+	for _, res := range trials {
 		lat.AddDuration(res.MeanLatency)
 		radio.AddDuration(res.MeanRadioOn)
 		var cpuTotal time.Duration

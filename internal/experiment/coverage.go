@@ -35,13 +35,15 @@ func CoverageCurve(testbed topology.Topology, ntxs []int, iterations int, seed i
 		items[i] = minicast.Item{Owner: i, Dst: -1}
 	}
 	points := make([]CoveragePoint, 0, len(ntxs))
+	// One generator, reseeded to each (NTX, iteration) stream.
+	rng := sim.NewRNG(seed, 0)
 	for _, ntx := range ntxs {
 		if ntx <= 0 {
 			return nil, fmt.Errorf("%w: NTX %d", ErrBadSpec, ntx)
 		}
 		total, full := 0.0, 0
 		for it := 0; it < iterations; it++ {
-			rng := sim.NewRNG(seed, uint64(0xC0F0+ntx*10000+it))
+			sim.ReseedRNG(rng, seed, uint64(0xC0F0+ntx*10000+it))
 			res, err := minicast.RunArena(minicast.Config{
 				Channel:      ch,
 				Initiator:    0,

@@ -198,9 +198,21 @@ type RoundResult struct {
 	CiphertextBytes int
 }
 
-// RunRound executes one aggregation round. Trials with the same
-// (config, trial) are reproducible.
-func RunRound(cfg Config, trial uint64) (*RoundResult, error) {
+// Deployment is an HE-PPDA configuration prepared for rounds. Its radio,
+// convergecast tree and collector key depend on the configuration alone
+// (the key stream is seeded by ChannelSeed only), so Prepare builds them
+// once, as core.RunBootstrap does for the SSS protocols, and every trial
+// shares them read-only; concurrent RunRound calls are safe.
+type Deployment struct {
+	cfg  Config
+	ch   phy.Radio
+	tree *collect.Tree
+	sk   *paillier.PrivateKey
+}
+
+// Prepare normalizes cfg, builds its radio, generates the collector's
+// Paillier key and builds the convergecast tree toward the sink.
+func Prepare(cfg Config) (*Deployment, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
@@ -209,13 +221,33 @@ func RunRound(cfg Config, trial uint64) (*RoundResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("radio backend for topology %q: %w", cfg.Topology.Name, err)
 	}
-	n := ch.NumNodes()
-
 	keyRNG := sim.NewRNG(cfg.ChannelSeed, 0xDEAD)
 	sk, err := paillier.GenerateKey(cfg.SimKeyBits, keyRNG)
 	if err != nil {
 		return nil, fmt.Errorf("keygen: %w", err)
 	}
+	tree, err := collect.BuildTree(ch, cfg.Sink, 0.5)
+	if err != nil {
+		return nil, err
+	}
+	return &Deployment{cfg: cfg, ch: ch, tree: tree, sk: sk}, nil
+}
+
+// RunRound prepares cfg and executes one aggregation round. Callers that
+// run many trials of one configuration should Prepare it once instead.
+func RunRound(cfg Config, trial uint64) (*RoundResult, error) {
+	d, err := Prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.RunRound(trial)
+}
+
+// RunRound executes one aggregation round. Trials with the same
+// (config, trial) are reproducible.
+func (d *Deployment) RunRound(trial uint64) (*RoundResult, error) {
+	cfg, ch, sk := d.cfg, d.ch, d.sk
+	n := ch.NumNodes()
 	modelCipherBytes := 2 * cfg.ModelKeyBits / 8
 
 	secretRNG := sim.NewRNG(cfg.ChannelSeed, trial*8+1)
@@ -248,15 +280,11 @@ func RunRound(cfg Config, trial uint64) (*RoundResult, error) {
 
 	// Convergecast the ciphertexts with in-network aggregation; every hop
 	// moves all L ciphertexts of the subtree's fold.
-	tree, err := collect.BuildTree(ch, cfg.Sink, 0.5)
-	if err != nil {
-		return nil, err
-	}
 	ledger := sim.NewRadioLedger(n)
 	engine := sim.NewEngine()
 	colRes, err := collect.Run(collect.Config{
 		Channel:      ch,
-		Tree:         tree,
+		Tree:         d.tree,
 		MessageBytes: vecLen * modelCipherBytes,
 		MaxRetries:   cfg.MaxRetries,
 	}, radioRNG, ledger, engine)

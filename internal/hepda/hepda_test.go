@@ -2,10 +2,12 @@ package hepda
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"iotmpc/internal/core"
+	"iotmpc/internal/sim"
 	"iotmpc/internal/topology"
 )
 
@@ -162,6 +164,44 @@ func TestDeterministicPerTrial(t *testing.T) {
 	}
 	if a.Expected == c.Expected {
 		t.Error("different trials produced identical readings")
+	}
+}
+
+// TestDeploymentSharedAcrossTrials runs trials concurrently on one
+// prepared deployment, out of order and with a VectorLen > 1, and requires
+// each to equal the one-shot RunRound of its trial.
+func TestDeploymentSharedAcrossTrials(t *testing.T) {
+	cfg := flockConfig()
+	cfg.VectorLen = 2
+	d, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := []uint64{3, 0, 7, 1}
+	got := make([]*RoundResult, len(trials))
+	if err := sim.ParallelFor(len(trials), 2, func(i int) error {
+		var err error
+		got[i], err = d.RunRound(trials[i])
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, trial := range trials {
+		want, err := RunRound(cfg, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("trial %d on the shared deployment differs from RunRound", trial)
+		}
+	}
+}
+
+func TestPrepareRejectsBadConfig(t *testing.T) {
+	cfg := flockConfig()
+	cfg.Sink = 99
+	if _, err := Prepare(cfg); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Prepare with sink 99: %v, want ErrBadConfig", err)
 	}
 }
 

@@ -3,8 +3,9 @@ package phy
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sync"
+
+	"iotmpc/internal/sim"
 )
 
 // Position is a node location in meters.
@@ -54,7 +55,7 @@ func NewLogDistance(params Params, positions []Position, seed int64) (*LogDistan
 	pos := make([]Position, n)
 	copy(pos, positions)
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewSeededRNG(seed)
 	rssi := make([][]float64, n)
 	for i := range rssi {
 		rssi[i] = make([]float64, n)

@@ -19,13 +19,23 @@ func DeriveSeed(root int64, stream uint64) int64 {
 
 // NewRNG returns a rand.Rand for the given root seed and stream label.
 func NewRNG(root int64, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(root, stream)))
+	return NewSeededRNG(DeriveSeed(root, stream))
+}
+
+// NewSeededRNG returns a rand.Rand that draws exactly what
+// rand.New(rand.NewSource(seed)) draws, over a source that seeds several
+// times faster (see source).
+func NewSeededRNG(seed int64) *rand.Rand {
+	s := new(source)
+	s.Seed(seed)
+	return rand.New(s)
 }
 
 // ReseedRNG resets rng to the stream NewRNG(root, stream) returns: Seed
 // restarts the source and drops any bytes buffered by Read, so a pooled
 // *rand.Rand replays a fresh one draw for draw without allocating another
-// ~5 KB source.
+// ~5 KB source. Generators built by NewRNG reseed several times faster
+// than ones over a math/rand source.
 func ReseedRNG(rng *rand.Rand, root int64, stream uint64) {
 	rng.Seed(DeriveSeed(root, stream))
 }

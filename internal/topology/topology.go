@@ -8,9 +8,9 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"iotmpc/internal/phy"
+	"iotmpc/internal/sim"
 )
 
 // Errors returned by the package.
@@ -74,7 +74,7 @@ func RandomGeometric(n int, w, h float64, seed int64) (Topology, error) {
 	if n <= 0 || w <= 0 || h <= 0 {
 		return Topology{}, fmt.Errorf("%w: n=%d area=%fx%f", ErrBadSize, n, w, h)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewSeededRNG(seed)
 	pos := make([]phy.Position, n)
 	for i := range pos {
 		pos[i] = phy.Position{X: rng.Float64() * w, Y: rng.Float64() * h}
