@@ -125,7 +125,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		return runHE(testbed, backend, srcs, *veclen, *iters, *seed, *loss, *verbose)
+		return runHE(testbed, backend, srcs, *veclen, *iters, *workers, *seed, *loss, *verbose)
 	}
 	proto, err := pickProtocol(*protoName)
 	if err != nil {
@@ -346,7 +346,7 @@ func runDirect(testbed topology.Topology, backend phy.Factory, proto core.Protoc
 // runHE executes the Paillier baseline instead of an SSS variant. It honors
 // -loss the same way the SSS paths do, so HE-vs-S4 comparisons at a given
 // interference level are apples to apples.
-func runHE(testbed topology.Topology, backend phy.Factory, sources []int, veclen, iters int, seed int64, loss float64, verbose bool) error {
+func runHE(testbed topology.Topology, backend phy.Factory, sources []int, veclen, iters, workers int, seed int64, loss float64, verbose bool) error {
 	params := phy.DefaultParams()
 	params.InterferenceBurstProb = loss
 	vecNote := ""
@@ -366,21 +366,45 @@ func runHE(testbed topology.Topology, backend phy.Factory, sources []int, veclen
 	if err != nil {
 		return err
 	}
-	var lat, radio metrics.Stream
-	correct := 0
-	for trial := 0; trial < iters; trial++ {
+	// Trials are independent given the seed and share the prepared
+	// deployment read-only, so they fan across the worker pool as in
+	// runDirect: each keeps what the fold needs at its index, and the fold
+	// and the -v lines run in trial order, so the output is identical for
+	// any -workers.
+	type trialStats struct {
+		meanLatency  time.Duration
+		meanRadioOn  time.Duration
+		deliveryRate float64
+		correct      bool
+	}
+	rounds := make([]trialStats, iters)
+	err = sim.ParallelFor(iters, workers, func(trial int) error {
 		res, err := he.RunRound(uint64(trial))
 		if err != nil {
 			return err
 		}
-		lat.AddDuration(res.MeanLatency)
-		radio.AddDuration(res.MeanRadioOn)
-		if res.Correct {
+		rounds[trial] = trialStats{
+			meanLatency:  res.MeanLatency,
+			meanRadioOn:  res.MeanRadioOn,
+			deliveryRate: res.DeliveryRate,
+			correct:      res.Correct,
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	var lat, radio metrics.Stream
+	correct := 0
+	for trial, res := range rounds {
+		lat.AddDuration(res.meanLatency)
+		radio.AddDuration(res.meanRadioOn)
+		if res.correct {
 			correct++
 		}
 		if verbose {
 			fmt.Printf("  iter %3d: latency=%v radio-on=%v delivery=%.1f%%\n",
-				trial, res.MeanLatency, res.MeanRadioOn, res.DeliveryRate*100)
+				trial, res.meanLatency, res.meanRadioOn, res.deliveryRate*100)
 		}
 	}
 	latSum, err := lat.Summarize()

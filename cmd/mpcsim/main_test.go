@@ -1,11 +1,33 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// captureStdout runs fn with os.Stdout redirected into a buffer.
+func captureStdout(t *testing.T, fn func() error) ([]byte, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = orig }()
+	done := make(chan []byte)
+	go func() {
+		buf, _ := io.ReadAll(r)
+		done <- buf
+	}()
+	runErr := fn()
+	w.Close()
+	return <-done, runErr
+}
 
 func TestPickTestbed(t *testing.T) {
 	tests := []struct {
@@ -77,6 +99,29 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunHEProtocol(t *testing.T) {
 	if err := run([]string{"-testbed", "grid", "-protocol", "he", "-sources", "6", "-iters", "1"}); err != nil {
 		t.Fatalf("he: %v", err)
+	}
+}
+
+// TestRunHEWorkersDeterministic: HE trials fan across the worker pool, and
+// stdout, the per-trial -v lines included, must not depend on how many
+// workers ran them.
+func TestRunHEWorkersDeterministic(t *testing.T) {
+	args := []string{"-testbed", "grid", "-protocol", "he", "-sources", "6", "-iters", "6", "-v"}
+	serial, err := captureStdout(t, func() error { return run(append(args, "-workers", "1")) })
+	if err != nil {
+		t.Fatalf("-workers 1: %v", err)
+	}
+	if !bytes.Contains(serial, []byte("iter   5:")) {
+		t.Fatalf("-v output lacks the last trial:\n%s", serial)
+	}
+	for _, workers := range []string{"0", "3"} {
+		got, err := captureStdout(t, func() error { return run(append(args, "-workers", workers)) })
+		if err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
+		}
+		if !bytes.Equal(got, serial) {
+			t.Fatalf("-workers %s output differs from -workers 1:\n%s\nwant:\n%s", workers, got, serial)
+		}
 	}
 }
 

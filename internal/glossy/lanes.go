@@ -89,6 +89,8 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 	next2 := a.Uint64s(n)
 	txs := a.Ints(n)
 	txLanes := a.Uint64s(n)
+	txNode := a.Uint64s(n) // the TxSet's node-indexed scratch
+	var set phy.TxSet
 
 	receivedMask[cfg.Initiator] = allLanes
 	cur[cfg.Initiator] = allLanes
@@ -117,7 +119,8 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 		}
 		// Receptions: lanes idle this slot (no bit in slotLanes) and lanes
 		// where rx already holds the packet draw nothing — exactly the
-		// scalar skip set.
+		// scalar skip set. Every receiver draws on one prepared set.
+		set.Prepare(txs[:ntx], txLanes[:ntx], txNode)
 		for rx := 0; rx < n; rx++ {
 			und := slotLanes &^ receivedMask[rx]
 			if und == 0 {
@@ -134,7 +137,7 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 					}
 				}
 			}
-			rcv := table.ReceiveConcurrentMask(rx, txs[:ntx], txLanes[:ntx], act, rngs)
+			rcv := table.ReceiveMask(rx, &set, act, rngs)
 			if rcv == 0 {
 				continue
 			}
@@ -147,6 +150,7 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 			receivedMask[rx] |= rcv
 			next1[rx] |= rcv // Glossy: retransmit in the immediately next slot
 		}
+		set.Clear()
 		// Account transmissions and schedule follow-ups; zeroing cur as it
 		// is consumed readies it for reuse as next2 after the rotation.
 		for i := 0; i < ntx; i++ {

@@ -122,6 +122,8 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 	jammedMask := a.Uint64s(n)
 	txs := a.Ints(n)
 	txLanes := a.Uint64s(n)
+	txNode := a.Uint64s(n) // the TxSet's node-indexed scratch
+	var set phy.TxSet
 	lacking := lackingCounts(cfg, n, a)
 	stopped := a.Bools(n) // all false: StopListen is unsupported here
 	txElig := a.Ints(n)   // per-lane scratch for creditPhase
@@ -162,7 +164,6 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 				// ascending) — order is load-bearing for trace union
 				// products.
 				ntx := 0
-				var union uint64
 				for _, node := range levelNodes {
 					if isFailed(failed, node) {
 						continue
@@ -171,12 +172,12 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 						txs[ntx] = node
 						txLanes[ntx] = m
 						ntx++
-						union |= m
 					}
 				}
-				if union == 0 {
+				if ntx == 0 {
 					continue // nobody at this level can transmit in any lane
 				}
+				set.Prepare(txs[:ntx], txLanes[:ntx], txNode)
 				for rx, k := 0, itemIdx; rx < n; rx, k = rx+1, k+cl {
 					if isFailed(failed, rx) {
 						continue
@@ -188,13 +189,14 @@ func RunLanes(cfg Config, lanes int, rngs []*rand.Rand, ledgers []*sim.RadioLedg
 					if act == 0 {
 						continue
 					}
-					if rcv := table.ReceiveConcurrentMask(rx, txs[:ntx], txLanes[:ntx], act, rngs); rcv != 0 {
+					if rcv := table.ReceiveMask(rx, &set, act, rngs); rcv != 0 {
 						haveMask[k] |= rcv
 						if haveMask[k] == allLanes {
 							lacking[itemIdx]--
 						}
 					}
 				}
+				set.Clear()
 			}
 
 			// Radio accounting for the phase, per lane: the transmit-

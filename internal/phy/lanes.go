@@ -10,91 +10,144 @@ import (
 // uint64 lane mask packs up to 64 independent Monte-Carlo worlds.
 const MaxLanes = 64
 
-// ReceiveConcurrentMask is the bit-sliced form of ReceiveConcurrentFast: it
-// draws one reception attempt at rx for up to 64 independent trial lanes at
-// once and returns the lane mask of successful receptions.
+// TxSet is one slot's concurrent transmitter list, prepared once for every
+// receiver of the slot: ReceiveMask reads each lane's transmitter set off
+// it without rescanning the list per lane.
 //
-// txs lists the candidate transmitters (ascending, as the protocol loops
-// build them); txLanes[i] is the lane mask in which txs[i] actually
-// transmits, so lane l's transmitter set is {txs[i] : txLanes[i] bit l}.
-// active masks the lanes that want a draw at all; rngs[l] is lane l's
-// private randomness stream.
+// The list is txs with lane masks lanes: txs[i] transmits in the lanes set
+// in lanes[i], so lane l's transmitter set is {txs[i] : lanes[i] bit l}.
+// Entries may repeat a node; the scalar semantics count every entry.
+type TxSet struct {
+	txs   []int
+	lanes []uint64
+	// node[tx] is the union of tx's lane masks, zero for nodes outside the
+	// list. It is caller-owned scratch that Clear zeroes again.
+	node []uint64
+	// any is the union of all lane masks.
+	any uint64
+	// counts holds every lane's transmitter count as bit-sliced vertical
+	// counters: bit l of counts[k] is bit k of lane l's count, over the
+	// first planes planes.
+	counts [64]uint64
+	planes int
+}
+
+// Prepare fills the set from a transmitter list. node is caller-owned
+// scratch with one entry per node of the table the set is used with, all
+// zero (an arena borrow is zeroed; Clear zeroes it again). The set keeps
+// txs, lanes and node until Clear, so the caller must not change them in
+// between.
+func (s *TxSet) Prepare(txs []int, lanes []uint64, node []uint64) {
+	s.txs, s.lanes, s.node = txs, lanes, node
+	var any uint64
+	planes := 0
+	for i, tx := range txs {
+		m := lanes[i]
+		node[tx] |= m
+		any |= m
+		// Add one to the count of every lane in m: a ripple carry up the
+		// planes, opening a fresh plane when the carry runs off the top.
+		for k := 0; m != 0; k++ {
+			if k == planes {
+				s.counts[k] = 0
+				planes++
+			}
+			carry := s.counts[k] & m
+			s.counts[k] ^= m
+			m = carry
+		}
+	}
+	s.any, s.planes = any, planes
+}
+
+// Clear zeroes the node scratch entries Prepare set and empties the set,
+// so the scratch can back the next Prepare.
+func (s *TxSet) Clear() {
+	for _, tx := range s.txs {
+		s.node[tx] = 0
+	}
+	// Stale counter planes need no zeroing: Prepare zeroes each plane as
+	// it opens it.
+	s.txs, s.lanes, s.node, s.any, s.planes = nil, nil, nil, 0, 0
+}
+
+// count returns lane l's transmitter count, duplicates included.
+func (s *TxSet) count(l int) int {
+	c := 0
+	for k := 0; k < s.planes; k++ {
+		c |= int(s.counts[k]>>l&1) << k
+	}
+	return c
+}
+
+// ReceiveMask is the bit-sliced form of ReceiveConcurrentFast: it draws one
+// reception attempt at rx for up to 64 independent trial lanes at once and
+// returns the lane mask of successful receptions. set holds the slot's
+// prepared transmitter list (lane l's transmitters are the entries whose
+// lane mask has bit l); active masks the lanes that want a draw at all;
+// rngs[l] is lane l's private randomness stream.
 //
 // The contract is per-lane exactness: bit l of the result equals
 // ReceiveConcurrentFast(rx, transmitters-of-lane-l, rngs[l]) with identical
 // RNG consumption on rngs[l] — same draws, same order, no draws for lanes
 // whose scalar call would not draw (inactive lanes, empty transmitter sets,
 // sets containing rx itself, and certain links). Because every lane owns
-// its RNG, the cross-lane processing order inside the kernel is free, and
-// the win is that certain links — every link of a hard unit disk, the
+// its RNG, the cross-lane processing order inside the kernel is free. On
+// log-distance tables every lane still draws, but the lanes find their
+// strongest transmitter together, in one walk down rx's RSSI order; in the
+// PRR-only modes certain links — every link of a hard unit disk, the
 // PRR-0/1 entries of a trace — resolve for all 64 lanes with pure bitset
 // algebra and zero randomness.
-func (t *LinkTable) ReceiveConcurrentMask(rx int, txs []int, txLanes []uint64, active uint64, rngs []*rand.Rand) uint64 {
-	if active == 0 || len(txs) == 0 {
+func (t *LinkTable) ReceiveMask(rx int, set *TxSet, active uint64, rngs []*rand.Rand) uint64 {
+	elig := active & set.any
+	if elig == 0 {
 		return 0
 	}
-	n := t.n
-	row := t.prr[rx*n : (rx+1)*n]
-
-	// One pass over the candidate list classifies every lane: `self` lanes
-	// include rx among their transmitters (scalar: immediate false, no
-	// draws), `any` lanes have at least one transmitter.
-	var self, any uint64
-	for i, tx := range txs {
-		if tx == rx {
-			self |= txLanes[i]
-		} else {
-			any |= txLanes[i]
-		}
-	}
-	elig := active & any &^ self
+	// `self` lanes include rx among their transmitters (scalar: immediate
+	// false, no draws).
+	elig &^= set.node[rx]
 	if elig == 0 {
 		return 0
 	}
 
+	n := t.n
+	row := t.prr[rx*n : (rx+1)*n]
+	txs, txLanes := set.txs, set.lanes
 	var out uint64
 	switch t.mode {
 	case tableLogDistance:
-		// Every eligible lane draws (beating only at >= 2 transmitters,
-		// then fading, then the sigmoid), so the lanes are walked one by
-		// one. Lanes in which every candidate transmits share one
-		// transmitter set — the whole list — whose count and best RSSI are
-		// computed once; the other lanes scan the list as the scalar loop
-		// does.
+		// Each lane's best mean RSSI belongs to the first of its
+		// transmitters in rx's descending order, so one walk resolves every
+		// lane: each draws (beating, fading, sigmoid) when the walk reaches
+		// its strongest transmitter. NaN entries, ordered last, never win
+		// the scalar `r > best`, so lanes left when the walk meets one —
+		// or runs out — have no transmitter above -Inf and draw with -Inf.
 		rssiRow := t.rssi[rx*n : (rx+1)*n]
-		shared := elig
-		for _, m := range txLanes {
-			shared &= m
-		}
-		sharedBest := math.Inf(-1)
-		if shared != 0 { // rx is not in the list: its lanes are not eligible
-			for _, tx := range txs {
-				if r := rssiRow[tx]; r > sharedBest {
-					sharedBest = r
+		left := elig
+		for _, tx := range t.order[rx*n : (rx+1)*n] {
+			m := set.node[tx] & left
+			if m == 0 {
+				continue
+			}
+			r := rssiRow[tx]
+			if r != r {
+				break
+			}
+			left &^= m
+			for ; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				if t.drawLogDistance(set.count(l), r, rngs[l]) {
+					out |= uint64(1) << l
 				}
 			}
-		}
-		for need := elig; need != 0; {
-			l := bits.TrailingZeros64(need)
-			bit := uint64(1) << l
-			need &^= bit
-			count, best := len(txs), sharedBest
-			if shared&bit == 0 {
-				count, best = 0, math.Inf(-1)
-				for i := range txs {
-					// rx itself cannot carry this bit: self lanes are not
-					// eligible.
-					if txLanes[i]&bit == 0 {
-						continue
-					}
-					count++
-					if r := rssiRow[txs[i]]; r > best {
-						best = r
-					}
-				}
+			if left == 0 {
+				break
 			}
-			if t.drawLogDistance(count, best, rngs[l]) {
-				out |= bit
+		}
+		for ; left != 0; left &= left - 1 {
+			l := bits.TrailingZeros64(left)
+			if t.drawLogDistance(set.count(l), math.Inf(-1), rngs[l]) {
+				out |= uint64(1) << l
 			}
 		}
 	case tableBestPRR:

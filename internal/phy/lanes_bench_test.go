@@ -2,6 +2,7 @@ package phy_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iotmpc/internal/phy"
@@ -15,8 +16,10 @@ import (
 // bit-slicing speedup. CI exports these to BENCH_bitslice.json and gates
 // Lanes64 at >= 4x over Scalar on the unit-disk tables, where certain links
 // let lane masks replace per-trial draws outright. The logdist and trace
-// variants ride along ungated: logdist draws per lane by construction, so
-// its ratio hovers near 1x and documents the kernel's worst case.
+// variants ride along ungated. Their lanes all share the whole list, which
+// the protocol loops rarely do; the LogdistMixed pair below gives every
+// lane its own subset, so it times the per-lane transmitter search against
+// the scan oracle.
 
 func benchLaneTable(b *testing.B, kind string, tb topology.Topology) *phy.LinkTable {
 	b.Helper()
@@ -60,6 +63,8 @@ func benchMask(b *testing.B, kind string, tb topology.Topology, lanes int) {
 	n := tb.NumNodes()
 	txs := []int{1, 2, 5, 9}
 	txLanes := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	var set phy.TxSet
+	set.Prepare(txs, txLanes, make([]uint64, n))
 	rngs := benchLaneRNGs(64)
 	var sink uint64
 	b.ResetTimer()
@@ -75,7 +80,7 @@ func benchMask(b *testing.B, kind string, tb topology.Topology, lanes int) {
 		}
 		width := uint64(1)<<lanes - 1
 		for g := 0; g < 64; g += lanes {
-			sink += table.ReceiveConcurrentMask(rx, txs, txLanes, width, rngs[g:g+lanes])
+			sink += table.ReceiveMask(rx, &set, width, rngs[g:g+lanes])
 		}
 	}
 	benchSink = sink
@@ -110,3 +115,47 @@ func BenchmarkBitsliceScalarTraceFlockLab(b *testing.B) {
 func BenchmarkBitsliceLanes64TraceFlockLab(b *testing.B) {
 	benchMask(b, "trace", topology.FlockLab(), 64)
 }
+
+// benchLogdistMixed times one 64-lane reception on FlockLab's log-distance
+// links with a transmitter subset per lane: 8 candidates (ascending, as the
+// protocol loops list them) with seeded random lane masks, 16 such lists in
+// rotation, and rx cycling over every node. The set is prepared and cleared
+// once per op, as the loops do once per slot, so the op also pays the set-up
+// every receiver of a slot shares. scan runs the per-lane scan oracle on
+// the bare list instead. CI's "Log-distance lanes gate" holds the ratio.
+func benchLogdistMixed(b *testing.B, scan bool) {
+	tb := topology.FlockLab()
+	table := benchLaneTable(b, "logdist", tb)
+	n := tb.NumNodes()
+	const lists, candidates = 16, 8
+	pick := rand.New(rand.NewSource(24))
+	txs := make([][]int, lists)
+	txLanes := make([][]uint64, lists)
+	for k := range txs {
+		chosen := pick.Perm(n)[:candidates]
+		slices.Sort(chosen)
+		txs[k] = chosen
+		for range chosen {
+			txLanes[k] = append(txLanes[k], pick.Uint64())
+		}
+	}
+	node := make([]uint64, n)
+	var set phy.TxSet
+	rngs := benchLaneRNGs(64)
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k, rx := i%lists, i%n
+		if scan {
+			sink += table.ReceiveMaskScan(rx, txs[k], txLanes[k], ^uint64(0), rngs)
+			continue
+		}
+		set.Prepare(txs[k], txLanes[k], node)
+		sink += table.ReceiveMask(rx, &set, ^uint64(0), rngs)
+		set.Clear()
+	}
+	benchSink = sink
+}
+
+func BenchmarkBitsliceLogdistMixed(b *testing.B)     { benchLogdistMixed(b, false) }
+func BenchmarkBitsliceLogdistMixedScan(b *testing.B) { benchLogdistMixed(b, true) }

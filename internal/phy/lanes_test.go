@@ -69,13 +69,20 @@ func laneTables(t testing.TB) map[string]*phy.LinkTable {
 }
 
 // laneMask draws a transmitter's lane mask: all lanes half the time, so
-// lanes in which every candidate transmits (the log-distance kernel's
-// shared-set path) are common, and random lanes otherwise.
+// lanes in which every candidate transmits are common, and random lanes
+// otherwise.
 func laneMask(pick *rand.Rand) uint64 {
 	if pick.Intn(2) == 0 {
 		return ^uint64(0)
 	}
 	return pick.Uint64()
+}
+
+// receiveMask prepares txs/txLanes as a fresh TxSet and draws at rx on it.
+func receiveMask(table *phy.LinkTable, rx int, txs []int, txLanes []uint64, active uint64, rngs []*rand.Rand) uint64 {
+	var set phy.TxSet
+	set.Prepare(txs, txLanes, make([]uint64, table.NumNodes()))
+	return table.ReceiveMask(rx, &set, active, rngs)
 }
 
 // TestReceiveConcurrentMaskMatchesScalar pins the bit-sliced kernel to its
@@ -115,7 +122,7 @@ func TestReceiveConcurrentMaskMatchesScalar(t *testing.T) {
 					txLanes = append(txLanes, laneMask(pick))
 				}
 				active := pick.Uint64()
-				got := table.ReceiveConcurrentMask(rx, txs, txLanes, active, laneRNG)
+				got := receiveMask(table, rx, txs, txLanes, active, laneRNG)
 				if got&^active != 0 {
 					t.Fatalf("trial %d: mask %#x outside active %#x", trial, got, active)
 				}
@@ -160,7 +167,7 @@ func TestReceiveConcurrentMaskCertainZeroDraws(t *testing.T) {
 	for rx := 0; rx < 16; rx++ {
 		txs := []int{(rx + 1) % 16, (rx + 5) % 16, rx} // includes rx itself
 		txLanes := []uint64{check.Uint64(), check.Uint64(), check.Uint64()}
-		got := table.ReceiveConcurrentMask(rx, txs, txLanes, ^uint64(0), noDraws)
+		got := receiveMask(table, rx, txs, txLanes, ^uint64(0), noDraws)
 		// Cross-check each lane against the scalar path (also draw-free).
 		for l := 0; l < 64; l++ {
 			bit := uint64(1) << l
@@ -177,12 +184,14 @@ func TestReceiveConcurrentMaskCertainZeroDraws(t *testing.T) {
 	}
 }
 
-// FuzzReceiveConcurrentMask fuzzes the kernel's structural invariants on a
-// trace union table (the mode with the richest certain/uncertain mix):
+// FuzzReceiveConcurrentMask fuzzes ReceiveMask's structural invariants on
+// a trace union table (the mode with the richest certain/uncertain mix):
 //
 //   - lane independence: relabeling the lanes (permuting which bit position
 //     a trial world occupies, together with its RNG) permutes the result
-//     mask identically — no lane's outcome depends on its neighbors;
+//     mask identically — no lane's outcome depends on its neighbors; this
+//     one is also checked on a log-distance table, whose lanes resolve
+//     together in one RSSI-ordered walk;
 //   - certain-only lanes burn zero RNG draws;
 //   - a flood built on the kernel has monotone coverage: the per-node
 //     coverage popcount never decreases across slots, and no inactive lane
@@ -197,6 +206,10 @@ func FuzzReceiveConcurrentMask(f *testing.F) {
 			t.Fatal(err)
 		}
 		table := replay.LinkTable()
+		logdist, err := phy.NewLogDistance(phy.DefaultParams(), benchPositions(n), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rx := int(rxRaw) % n
 		pick := rand.New(rand.NewSource(seed))
 		txs := make([]int, 0, n)
@@ -221,13 +234,15 @@ func FuzzReceiveConcurrentMask(f *testing.F) {
 		for i := range txLanes {
 			rotLanes[i] = bits.RotateLeft64(txLanes[i], r)
 		}
-		base := table.ReceiveConcurrentMask(rx, txs, txLanes, active, baseRNG)
-		rotated := table.ReceiveConcurrentMask(rx, txs, rotLanes, bits.RotateLeft64(active, r), rotRNG)
-		if rotated != bits.RotateLeft64(base, r) {
-			t.Fatalf("lane relabeling changed outcomes: base %#x, rotated %#x (r=%d)", base, rotated, r)
-		}
-		if base&^active != 0 {
-			t.Fatalf("inactive lane received: mask %#x, active %#x", base, active)
+		for _, tb := range []*phy.LinkTable{table, logdist.LinkTable()} {
+			base := receiveMask(tb, rx, txs, txLanes, active, baseRNG)
+			rotated := receiveMask(tb, rx, txs, rotLanes, bits.RotateLeft64(active, r), rotRNG)
+			if rotated != bits.RotateLeft64(base, r) {
+				t.Fatalf("lane relabeling changed outcomes: base %#x, rotated %#x (r=%d)", base, rotated, r)
+			}
+			if base&^active != 0 {
+				t.Fatalf("inactive lane received: mask %#x, active %#x", base, active)
+			}
 		}
 
 		// Certain-only lanes burn zero draws: restrict every lane to
@@ -238,7 +253,7 @@ func FuzzReceiveConcurrentMask(f *testing.F) {
 				certLanes[i] = txLanes[i]
 			}
 		}
-		table.ReceiveConcurrentMask(rx, txs, certLanes, active, make([]*rand.Rand, lanes))
+		receiveMask(table, rx, txs, certLanes, active, make([]*rand.Rand, lanes))
 
 		// Monotone coverage: flood rx-side coverage through repeated slots;
 		// undecided lanes shrink, coverage popcount never decreases.
@@ -251,8 +266,12 @@ func FuzzReceiveConcurrentMask(f *testing.F) {
 		for l := range floodRNG {
 			floodRNG[l] = rand.New(rand.NewSource(seed ^ int64(l*7919)))
 		}
+		// One set serves every slot, as a protocol loop's set serves every
+		// receiver of its slot.
+		var set phy.TxSet
+		set.Prepare(txs, txLanes, make([]uint64, n))
 		for slot := 0; slot < 8; slot++ {
-			rcv := table.ReceiveConcurrentMask(rx, txs, txLanes, active&^coverage, floodRNG)
+			rcv := table.ReceiveMask(rx, &set, active&^coverage, floodRNG)
 			if rcv&coverage != 0 {
 				t.Fatalf("slot %d: already-covered lane received again", slot)
 			}

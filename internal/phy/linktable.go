@@ -1,8 +1,10 @@
 package phy
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // tableMode selects the draw semantics of a LinkTable: how a lone link
@@ -47,6 +49,9 @@ type LinkTable struct {
 	// rssi[rx*n+tx] is the mean received power at rx from tx in dBm
 	// (tableLogDistance only; nil otherwise).
 	rssi []float64
+	// order[rx*n:(rx+1)*n] lists every node by descending mean RSSI at rx,
+	// NaN entries last (tableLogDistance only): ReceiveMask's walk.
+	order []int32
 	// prr[rx*n+tx] is the long-run reception ratio of the link tx→rx,
 	// with the diagonal forced to 0 (a node never receives itself).
 	prr []float64
@@ -124,14 +129,16 @@ func (t *LinkTable) buildSigmoidGrid() {
 }
 
 // newLogDistanceTable snapshots the log-distance backend: the RSSI matrix
-// (rssi[tx][rx], transposed into receiver-major order) plus the sigmoid
-// and per-packet-draw parameters.
+// (rssi[tx][rx], transposed into receiver-major order), each receiver's
+// transmitters in descending RSSI order, and the sigmoid and
+// per-packet-draw parameters.
 func newLogDistanceTable(params Params, rssi [][]float64) *LinkTable {
 	n := len(rssi)
 	t := &LinkTable{
 		n:              n,
 		mode:           tableLogDistance,
 		rssi:           make([]float64, n*n),
+		order:          make([]int32, n*n),
 		prr:            make([]float64, n*n),
 		certain:        make([]bool, n*n),
 		fadingSigmaDB:  params.FadingSigmaDB,
@@ -148,6 +155,14 @@ func newLogDistanceTable(params Params, rssi [][]float64) *LinkTable {
 			t.prr[i] = t.prrFromRSSI(rssi[tx][rx])
 			t.certain[i] = t.prr[i] <= 0 || t.prr[i] >= 1
 		}
+	}
+	for rx := 0; rx < n; rx++ {
+		row, rssiRow := t.order[rx*n:(rx+1)*n], t.rssi[rx*n:(rx+1)*n]
+		for tx := range row {
+			row[tx] = int32(tx)
+		}
+		// cmp.Compare orders NaN below every number, so NaN sorts last.
+		slices.SortFunc(row, func(a, b int32) int { return cmp.Compare(rssiRow[b], rssiRow[a]) })
 	}
 	t.log2 = make([]float64, n+1)
 	for k := 1; k <= n; k++ {
