@@ -22,27 +22,20 @@ const limbs = 8 // 64-bit limbs in a 512-bit residue
 // so two elems are equal exactly when the residues are.
 type elem [limbs]uint64
 
+// montMul, the Montgomery product everything below is built on, lives in
+// montmul.go, unrolled for P's limbs by gen_montmul.go.
+//
+//go:generate go run gen_montmul.go
+
 var (
-	modP    = limbsOf(groupP)
-	pInv    = negInv64(modP[0]) // −P⁻¹ mod 2⁶⁴
-	montOne = limbsOf(rPow(1))  // R mod P
-	rSquare = limbsOf(rPow(2))  // R² mod P
+	montOne = limbsOf(rPow(1)) // R mod P
+	rSquare = limbsOf(rPow(2)) // R² mod P
 )
 
 // rPow returns R^k mod P.
 func rPow(k int) *big.Int {
 	r := new(big.Int).Lsh(big.NewInt(1), uint(k*64*limbs))
 	return r.Mod(r, groupP)
-}
-
-// negInv64 returns −p⁻¹ mod 2⁶⁴ for odd p by Newton iteration: p·p ≡ 1
-// (mod 8) gives 3 correct bits, and each step doubles them.
-func negInv64(p uint64) uint64 {
-	x := p
-	for i := 0; i < 5; i++ {
-		x *= 2 - p*x
-	}
-	return -x
 }
 
 // limbsOf returns x (0 ≤ x < 2⁵¹²) as limbs, without any Montgomery
@@ -73,53 +66,6 @@ func montToBig(e *elem) *big.Int {
 		binary.BigEndian.PutUint64(buf[len(buf)-8*(i+1):], w)
 	}
 	return new(big.Int).SetBytes(buf[:])
-}
-
-// montMul sets z = x·y·R⁻¹ mod P (CIOS: one multiply pass and one reduction
-// pass per limb of y). x and y must be below P; z may alias either.
-func montMul(z, x, y *elem) {
-	var t [limbs + 2]uint64
-	for i := 0; i < limbs; i++ {
-		// t += x·y[i]. Each limb product plus two carries fits in 128 bits.
-		var c, cc uint64
-		for j := 0; j < limbs; j++ {
-			hi, lo := bits.Mul64(x[j], y[i])
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j], c = lo, hi
-		}
-		t[limbs], cc = bits.Add64(t[limbs], c, 0)
-		t[limbs+1] = cc
-
-		// t = (t + m·P) / 2⁶⁴, with m chosen so the low limb cancels.
-		m := t[0] * pInv
-		hi, lo := bits.Mul64(m, modP[0])
-		_, cc = bits.Add64(lo, t[0], 0)
-		c = hi + cc
-		for j := 1; j < limbs; j++ {
-			hi, lo = bits.Mul64(m, modP[j])
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			hi += cc
-			t[j-1], c = lo, hi
-		}
-		t[limbs-1], cc = bits.Add64(t[limbs], c, 0)
-		t[limbs] = t[limbs+1] + cc
-	}
-	// t < 2P, so one conditional subtraction reduces it fully.
-	var d elem
-	var b uint64
-	for j := 0; j < limbs; j++ {
-		d[j], b = bits.Sub64(t[j], modP[j], b)
-	}
-	if t[limbs] != 0 || b == 0 {
-		*z = d
-	} else {
-		copy(z[:], t[:limbs])
-	}
 }
 
 // montExp sets z = x^e by left-to-right square-and-multiply; z may alias x.

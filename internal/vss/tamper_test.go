@@ -24,12 +24,13 @@ func TestVerifyRejectsTamperedCommitmentPoint(t *testing.T) {
 		// Multiply coefficient i's commitment by G: still a valid group
 		// element, but it commits to c_i + 1 — every honest share must now
 		// fail against it.
-		tampered := &Commitment{points: make([]*big.Int, len(commit.points))}
-		for j, p := range commit.points {
-			tampered.points[j] = new(big.Int).Set(p)
+		tamperedPoints := commit.bigPoints()
+		tamperedPoints[i].Mul(tamperedPoints[i], groupG)
+		tamperedPoints[i].Mod(tamperedPoints[i], groupP)
+		tampered, err := NewCommitment(tamperedPoints)
+		if err != nil {
+			t.Fatalf("coefficient %d tampered: NewCommitment: %v", i, err)
 		}
-		tampered.points[i].Mul(tampered.points[i], groupG)
-		tampered.points[i].Mod(tampered.points[i], groupP)
 		for s, sh := range shares {
 			if err := Verify(sh, tampered); !errors.Is(err, ErrVerifyFailed) {
 				t.Fatalf("coefficient %d tampered: share %d verified (err=%v)", i, s, err)
@@ -109,7 +110,7 @@ func TestAggregateSingleCommitmentIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range agg.points {
-		if agg.points[i].Cmp(commit.points[i]) != 0 {
+		if agg.points[i] != commit.points[i] {
 			t.Fatalf("point %d changed under single-element aggregation", i)
 		}
 	}
@@ -138,7 +139,7 @@ func TestDealIsDeterministicPerRNG(t *testing.T) {
 		}
 	}
 	for i := range commitA.points {
-		if commitA.points[i].Cmp(commitB.points[i]) != 0 {
+		if commitA.points[i] != commitB.points[i] {
 			t.Fatalf("commitment point %d differs across identical RNG streams", i)
 		}
 	}

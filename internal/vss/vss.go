@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"iotmpc/internal/field"
 )
@@ -43,6 +44,9 @@ var (
 	ErrVerifyFailed = errors.New("vss: share verification failed")
 	// ErrBadCommitment is returned for malformed commitment vectors.
 	ErrBadCommitment = errors.New("vss: invalid commitment")
+	// ErrNotInSubgroup is returned by NewCommitment for a point in (0, P)
+	// that lies outside the order-q subgroup. It wraps ErrBadCommitment.
+	ErrNotInSubgroup = fmt.Errorf("%w: point outside the order-q subgroup", ErrBadCommitment)
 	// ErrBadParams is returned for invalid dealing parameters.
 	ErrBadParams = errors.New("vss: invalid parameters")
 )
@@ -55,9 +59,35 @@ type Share struct {
 }
 
 // Commitment is the dealer's public commitment vector:
-// points[i] = G^{c_i} mod P for polynomial coefficient c_i.
+// points[i] = G^{c_i} mod P for polynomial coefficient c_i, held in
+// Montgomery form. Every point lies in the order-q subgroup: Deal and
+// AggregateCommitments build such points by construction, and
+// NewCommitment, the one way to bring in points from outside, checks them.
 type Commitment struct {
-	points []*big.Int
+	points []elem
+}
+
+// NewCommitment builds a commitment vector from received points. It rejects
+// an empty vector and points outside (0, P) with ErrBadCommitment, and
+// points whose order does not divide q with ErrNotInSubgroup — one 61-bit
+// exponentiation per point, paid here so that Verify needs no check.
+func NewCommitment(points []*big.Int) (*Commitment, error) {
+	if len(points) == 0 {
+		return nil, fmt.Errorf("%w: no points", ErrBadCommitment)
+	}
+	c := &Commitment{points: make([]elem, len(points))}
+	for i, p := range points {
+		if p == nil || p.Sign() <= 0 || p.Cmp(groupP) >= 0 {
+			return nil, fmt.Errorf("%w: point %d outside (0, P)", ErrBadCommitment, i)
+		}
+		c.points[i] = montFromBig(p)
+		var order elem
+		montExp(&order, &c.points[i], field.Modulus)
+		if order != montOne {
+			return nil, fmt.Errorf("%w: point %d", ErrNotInSubgroup, i)
+		}
+	}
+	return c, nil
 }
 
 // Degree returns the committed polynomial degree.
@@ -75,7 +105,7 @@ func (c *Commitment) SecretCommitment() *big.Int {
 	if len(c.points) == 0 {
 		return nil
 	}
-	return new(big.Int).Set(c.points[0])
+	return montToBig(&c.points[0])
 }
 
 // Deal splits a secret verifiably: it returns the shares together with the
@@ -93,10 +123,9 @@ func Deal(secret field.Element, degree int, points []field.Element, rng io.Reade
 	if err != nil {
 		return nil, nil, fmt.Errorf("sample polynomial: %w", err)
 	}
-	commit := &Commitment{points: make([]*big.Int, len(poly))}
+	commit := &Commitment{points: make([]elem, len(poly))}
 	for i, coeff := range poly {
-		g := gExp(coeff.Uint64())
-		commit.points[i] = montToBig(&g)
+		commit.points[i] = gExp(coeff.Uint64())
 	}
 	shares := make([]Share, len(points))
 	for i, x := range points {
@@ -112,22 +141,20 @@ func Deal(secret field.Element, degree int, points []field.Element, rng io.Reade
 // Because the subgroup order equals the share field modulus q, exponent
 // arithmetic mod q matches polynomial arithmetic over GF(q) exactly. The
 // right side is evaluated in Horner form, (((C_k)^x·C_{k−1})^x ···)^x·C_0,
-// with the integer x^i as exponent, not x^i mod q: the two agree for every
-// point of the order-q subgroup, but a point outside it (which the range
-// check admits) can verify differently once x^k ≥ q.
+// with the integer x^i as exponent, not x^i mod q: the two agree on every
+// point of the order-q subgroup, and a Commitment holds no other points.
 func Verify(s Share, commit *Commitment) error {
-	if commit == nil || len(commit.points) == 0 || !inRange(commit.points) {
+	if commit == nil || len(commit.points) == 0 {
 		return ErrBadCommitment
 	}
 	lhs := gExp(s.Value.Uint64())
 
 	x := s.X.Uint64()
 	k := len(commit.points) - 1
-	rhs := montFromBig(commit.points[k])
+	rhs := commit.points[k]
 	for i := k - 1; i >= 0; i-- {
-		c := montFromBig(commit.points[i])
 		montExp(&rhs, &rhs, x)
-		montMul(&rhs, &rhs, &c)
+		montMul(&rhs, &rhs, &commit.points[i])
 	}
 	if lhs != rhs {
 		return ErrVerifyFailed
@@ -135,39 +162,22 @@ func Verify(s Share, commit *Commitment) error {
 	return nil
 }
 
-// inRange reports whether every point is a residue in (0, P).
-func inRange(points []*big.Int) bool {
-	for _, p := range points {
-		if p == nil || p.Sign() <= 0 || p.Cmp(groupP) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // AggregateCommitments multiplies per-source commitment vectors
 // coefficient-wise, yielding the commitment to the SUM polynomial — so the
 // reconstruction phase can verify public-point sums the same way shares are
-// verified (Feldman commitments are additively homomorphic).
+// verified (Feldman commitments are additively homomorphic). Products of
+// subgroup points stay in the subgroup.
 func AggregateCommitments(commits []*Commitment) (*Commitment, error) {
-	if len(commits) == 0 {
+	if len(commits) == 0 || commits[0] == nil {
 		return nil, ErrBadCommitment
 	}
-	width := len(commits[0].points)
-	out := &Commitment{points: make([]*big.Int, width)}
-	for i := range out.points {
-		out.points[i] = big.NewInt(1)
-	}
-	for _, c := range commits {
-		if c == nil || len(c.points) != width {
+	out := &Commitment{points: slices.Clone(commits[0].points)}
+	for _, c := range commits[1:] {
+		if c == nil || len(c.points) != len(out.points) {
 			return nil, fmt.Errorf("%w: mismatched vector widths", ErrBadCommitment)
 		}
-		if !inRange(c.points) {
-			return nil, ErrBadCommitment
-		}
-		for i, p := range c.points {
-			out.points[i].Mul(out.points[i], p)
-			out.points[i].Mod(out.points[i], groupP)
+		for i := range out.points {
+			montMul(&out.points[i], &out.points[i], &c.points[i])
 		}
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iotmpc/internal/field"
@@ -84,13 +85,42 @@ func TestVerifyMalformedCommitment(t *testing.T) {
 	if err := Verify(Share{}, nil); !errors.Is(err, ErrBadCommitment) {
 		t.Errorf("nil: %v, want ErrBadCommitment", err)
 	}
-	bad := &Commitment{points: []*big.Int{big.NewInt(0)}}
-	if err := Verify(Share{}, bad); !errors.Is(err, ErrBadCommitment) {
-		t.Errorf("zero element: %v, want ErrBadCommitment", err)
+	if err := Verify(Share{}, &Commitment{}); !errors.Is(err, ErrBadCommitment) {
+		t.Errorf("empty: %v, want ErrBadCommitment", err)
 	}
-	huge := &Commitment{points: []*big.Int{new(big.Int).Add(groupP, big.NewInt(1))}}
-	if err := Verify(Share{}, huge); !errors.Is(err, ErrBadCommitment) {
-		t.Errorf("out of range: %v, want ErrBadCommitment", err)
+	malformed := map[string][]*big.Int{
+		"no points":    nil,
+		"nil point":    {nil},
+		"zero element": {big.NewInt(0)},
+		"out of range": {new(big.Int).Add(groupP, big.NewInt(1))},
+		"P itself":     {groupP},
+	}
+	for name, points := range malformed {
+		c, err := NewCommitment(points)
+		if !errors.Is(err, ErrBadCommitment) || errors.Is(err, ErrNotInSubgroup) || c != nil {
+			t.Errorf("%s: NewCommitment = %v, %v; want ErrBadCommitment for the range", name, c, err)
+		}
+	}
+}
+
+// TestNewCommitmentRoundTrip checks that a dealt commitment, sent as plain
+// points and brought back through NewCommitment, is the same vector.
+func TestNewCommitmentRoundTrip(t *testing.T) {
+	shares, commit, err := Deal(field.New(5150), 4, shamirPoints(7), rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewCommitment(commit.bigPoints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.points, commit.points) {
+		t.Fatal("commitment changed across NewCommitment")
+	}
+	for i, s := range shares {
+		if err := Verify(s, got); err != nil {
+			t.Errorf("share %d against the received commitment: %v", i, err)
+		}
 	}
 }
 
@@ -163,6 +193,11 @@ func TestAggregateCommitmentsErrors(t *testing.T) {
 	}
 	if _, err := AggregateCommitments([]*Commitment{c2, c3}); !errors.Is(err, ErrBadCommitment) {
 		t.Errorf("width mismatch: %v", err)
+	}
+	for _, commits := range [][]*Commitment{{nil, c2}, {c2, nil}} {
+		if _, err := AggregateCommitments(commits); !errors.Is(err, ErrBadCommitment) {
+			t.Errorf("nil commitment: %v", err)
+		}
 	}
 }
 
