@@ -1,11 +1,11 @@
 // Command sweepd serves the sweep job API: an HTTP daemon that accepts
 // scenario-matrix specs (POST /v1/jobs), executes them concurrently on a
 // shared worker pool that interleaves cells fairly across jobs (a 1-cell
-// job submitted behind a 10k-cell sweep finishes in seconds), persists
-// every result row in a durable store, and streams results and live
-// progress back to clients. Jobs can be listed (GET /v1/jobs), canceled
-// (DELETE /v1/jobs/{id}), and old terminal jobs garbage-collected by a
-// retention policy.
+// job submitted behind a 10k-cell sweep finishes in seconds), keeps every
+// job in a durable store and every result in the shared result cache, and
+// streams results and live progress back to clients. Jobs can be listed
+// (GET /v1/jobs), canceled (DELETE /v1/jobs/{id}), and old terminal jobs
+// pruned by a retention policy.
 //
 //	sweepd -addr :8080 -cache /var/lib/sweepd/cache -store /var/lib/sweepd/store \
 //	       -retain-jobs 1000 -retain-age 720h
@@ -72,11 +72,11 @@ func run(args []string) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheDir   = fs.String("cache", "", "content-addressed result cache directory shared by every job (required)")
-		storeDir   = fs.String("store", "", "durable job/result store directory (required unless -join)")
+		storeDir   = fs.String("store", "", "durable job store directory (required unless -join)")
 		workers    = fs.Int("workers", 0, "cell workers shared by all active jobs (0: GOMAXPROCS)")
 		lanes      = fs.Int("lanes", 0, "bit-sliced trial batch width 1..64 (0: default 64; results are identical for any width)")
 		maxActive  = fs.Int("max-active-jobs", 0, "jobs holding Runners at once; cells interleave fairly across them (0: default 4)")
-		retainJobs = fs.Int("retain-jobs", 0, "keep at most N terminal jobs; older ones and their unreferenced rows are pruned at checkpoint (0: keep all)")
+		retainJobs = fs.Int("retain-jobs", 0, "keep at most N terminal jobs; older ones are pruned at checkpoint, their results stay in the cache (0: keep all)")
 		retainAge  = fs.Duration("retain-age", 0, "prune terminal jobs not updated within this duration, e.g. 720h (0: keep forever)")
 
 		coordinator = fs.Bool("coordinator", false, "dispatch jobs to joined workers instead of executing locally")
@@ -106,7 +106,7 @@ func run(args []string) error {
 		return fmt.Errorf("-chaos injects worker faults and needs -join")
 	}
 	if *storeDir == "" {
-		return fmt.Errorf("-store is required (jobs and results must survive restarts)")
+		return fmt.Errorf("-store is required (jobs must survive restarts)")
 	}
 	if *retainJobs < 0 || *retainAge < 0 {
 		return fmt.Errorf("-retain-jobs and -retain-age must be >= 0")
@@ -138,14 +138,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// One deterministic GC at boot — after service.New, which backfills row
-	// keys onto jobs from before the retention schema, so shared-row
-	// accounting is complete before anything is swept. Steady-state pruning
-	// then rides every store checkpoint.
-	if jobs, rows, err := st.GC(); err != nil {
+	// One deterministic GC at boot, after service.New has moved any
+	// schema-3 result rows into the cache. Steady-state pruning then rides
+	// every store checkpoint.
+	if jobs, _, err := st.GC(); err != nil {
 		return err
 	} else if jobs > 0 {
-		fmt.Fprintf(os.Stderr, "sweepd: retention pruned %d terminal jobs, swept %d rows\n", jobs, rows)
+		fmt.Fprintf(os.Stderr, "sweepd: retention pruned %d terminal jobs\n", jobs)
 	}
 
 	// Listen before starting the scheduler so a bad -addr fails fast with

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"iotmpc/internal/experiment"
 	"iotmpc/internal/store"
 )
 
@@ -76,27 +79,32 @@ func TestRunRejectsNegativeRetention(t *testing.T) {
 
 // TestBootGCPrunesTerminalJobs: a store seeded with two finished jobs boots
 // under -retain-jobs 1 and comes up with only the newer one (visible via
-// /v1/healthz and /v1/jobs), the pruned job's exclusive row swept.
+// /v1/healthz), whose results still stream from the cache byte for byte.
 func TestBootGCPrunesTerminalJobs(t *testing.T) {
 	guard := make(chan os.Signal, 1)
 	signal.Notify(guard, syscall.SIGTERM)
 	defer signal.Stop(guard)
 
-	storeDir := t.TempDir()
+	storeDir, cacheDir := t.TempDir(), t.TempDir()
 	st, err := store.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var golden bytes.Buffer // the newer job's CLI JSONL
 	for i := 0; i < 2; i++ {
-		job, err := st.CreateJob(json.RawMessage(`["seeded, not a matrix"]`), 1)
+		m := experiment.Matrix{NodeCounts: []int{8}, LossRates: []float64{0, 0.3}, Iterations: 2, Seed: int64(i + 1)}
+		golden.Reset()
+		// The job's rows live where a finished run leaves them: the cache.
+		if _, err := experiment.NewRunner(experiment.WithCache(cacheDir),
+			experiment.WithSinks(&experiment.JSONLSink{W: &golden})).Run(m); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := fmt.Sprintf("row-%d", i)
-		if err := st.SetJobKeys(job.ID, []string{key}); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.PutRow(key, []byte(`{}`)); err != nil {
+		job, err := st.CreateJob(spec, 2)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.UpdateJob(job.ID, true, func(j *store.Job) { j.State = store.Running }); err != nil {
@@ -116,15 +124,14 @@ func TestBootGCPrunesTerminalJobs(t *testing.T) {
 	ln.Close()
 	runDone := make(chan error, 1)
 	go func() {
-		runDone <- run([]string{"-addr", addr, "-cache", t.TempDir(), "-store", storeDir,
+		runDone <- run([]string{"-addr", addr, "-cache", cacheDir, "-store", storeDir,
 			"-retain-jobs", "1"})
 	}()
 
 	base := "http://" + addr
 	deadline := time.Now().Add(10 * time.Second)
 	var health struct {
-		Jobs      map[string]int `json:"jobs"`
-		StoreRows int            `json:"storeRows"`
+		Jobs map[string]int `json:"jobs"`
 	}
 	for {
 		resp, err := http.Get(base + "/v1/healthz")
@@ -140,8 +147,17 @@ func TestBootGCPrunesTerminalJobs(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if health.Jobs["done"] != 1 || health.StoreRows != 1 {
-		t.Errorf("after boot GC: %+v, want 1 done job and 1 row", health)
+	if health.Jobs["done"] != 1 {
+		t.Errorf("after boot GC: %+v, want 1 done job", health)
+	}
+	resp, err := http.Get(base + "/v1/jobs/j000002/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.Equal(got, golden.Bytes()) {
+		t.Errorf("retained job's results (err %v):\n got %s\nwant %s", err, got, golden.Bytes())
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

@@ -12,7 +12,9 @@
 // broken volume can never serve again hides an operational problem. Writes
 // are atomic (temp file + rename), so a crash mid-Put leaves either the old
 // entry or none, and concurrent writers of the same key are safe; temp
-// files orphaned by a crash are swept by the next Open.
+// files orphaned by a crash are swept by the next Open. Put does not sync:
+// a caller whose entries must survive a machine crash calls Sync once they
+// have to.
 package cache
 
 import (
@@ -111,13 +113,24 @@ func valueChecksum(value []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Get loads the entry for key into out. It returns (false, nil) when the
-// entry is absent or fails any integrity check — corruption is a cache miss,
-// not an error, so sweeps always fall back to recomputing. A real I/O fault
+// Get loads the entry for key into out: GetRaw plus a decode, which is
+// also a miss when the value does not decode into out.
+func (s *Store) Get(key string, out any) (bool, error) {
+	value, ok, err := s.GetRaw(key)
+	if !ok || err != nil {
+		return false, err
+	}
+	return json.Unmarshal(value, out) == nil, nil
+}
+
+// GetRaw returns the checksum-verified value bytes stored under key — the
+// exact bytes Put encoded. It returns (nil, false, nil) when the entry is
+// absent or fails any integrity check — corruption is a cache miss, not an
+// error, so sweeps always fall back to recomputing. A real I/O fault
 // (permission denied, EIO on a failing volume) is an error: the entry may
 // exist but cannot be read, and treating that as a permanent miss would
 // silently recompute every cell on every run.
-func (s *Store) Get(key string, out any) (bool, error) {
+func (s *Store) GetRaw(key string) (json.RawMessage, bool, error) {
 	raw, err := os.ReadFile(s.Path(key))
 	switch {
 	case err == nil:
@@ -126,21 +139,18 @@ func (s *Store) Get(key string, out any) (bool, error) {
 		// the entry would live, which is a malformed store, not an I/O
 		// fault: a miss, and Put's rename will fail loudly if it cannot
 		// repair it.
-		return false, nil
+		return nil, false, nil
 	default:
-		return false, fmt.Errorf("cache: read entry %s: %w", key, err)
+		return nil, false, fmt.Errorf("cache: read entry %s: %w", key, err)
 	}
 	var env envelope
 	if json.Unmarshal(raw, &env) != nil {
-		return false, nil
+		return nil, false, nil
 	}
 	if env.Key != key || valueChecksum(env.Value) != env.Checksum {
-		return false, nil
+		return nil, false, nil
 	}
-	if json.Unmarshal(env.Value, out) != nil {
-		return false, nil
-	}
-	return true, nil
+	return env.Value, true, nil
 }
 
 // Put stores v under key, atomically replacing any existing entry.
@@ -171,6 +181,22 @@ func (s *Store) Put(key string, v any) error {
 	}
 	if err := os.Rename(tmp.Name(), s.Path(key)); err != nil {
 		return fmt.Errorf("cache: %w", err)
+	}
+	return nil
+}
+
+// Sync makes the entry under key durable. A missing entry is an error. A
+// crash before Sync can leave a Put's entry torn, which reads as a miss;
+// after Sync the entry survives. The sweep service keeps results nowhere
+// but the cache, so it syncs a job's entries before the job may finish.
+func (s *Store) Sync(key string) error {
+	f, err := os.Open(s.Path(key))
+	if err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	defer f.Close()
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("cache: sync entry %s: %w", key, err)
 	}
 	return nil
 }

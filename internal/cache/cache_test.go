@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,29 @@ func TestStoreOverwrite(t *testing.T) {
 	var out payload
 	if hit, _ := s.Get(key, &out); !hit || out.Value != 2 {
 		t.Fatalf("overwrite: hit=%v out=%+v", hit, out)
+	}
+}
+
+// TestGetRawAndSync: GetRaw returns the exact value bytes Put encoded, and
+// Sync succeeds on a stored entry and reports a missing one.
+func TestGetRawAndSync(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("v1", []byte("cell"))
+	if err := s.Put(key, json.RawMessage(`{"name":"x","value":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	raw, ok, err := s.GetRaw(key)
+	if err != nil || !ok || string(raw) != `{"name":"x","value":3}` {
+		t.Fatalf("GetRaw: %q ok=%v err=%v", raw, ok, err)
+	}
+	if err := s.Sync(key); err != nil {
+		t.Fatalf("sync stored entry: %v", err)
+	}
+	if err := s.Sync(Key("v1", []byte("absent"))); err == nil {
+		t.Fatal("sync of a missing entry succeeded")
 	}
 }
 

@@ -177,10 +177,12 @@ type RunSummary struct {
 	// cache for their owner (and the merge) to pick up; they are never
 	// emitted to this shard's sinks.
 	Stolen int
-	// CacheWriteErrors counts computed cells whose result could not be
-	// persisted (full or read-only cache volume). The cache is an
-	// optimization, so write failures never abort a sweep — they just mean
-	// those cells will be recomputed next time.
+	// CacheWriteErrors counts cells whose result could not be persisted
+	// (full or read-only cache volume) or synced. To a sweep the cache is
+	// an optimization, so write failures never abort it — they just mean
+	// those cells will be recomputed next time, and that the sweep writes
+	// no completion manifest. The sweep service, whose results live in the
+	// cache, fails such a job instead.
 	CacheWriteErrors int
 	// ManifestWriteError reports that the sweep completed but its
 	// completion manifest (matrix or shard) could not be written: the next
@@ -274,8 +276,8 @@ func backendContentDigest(spec string) (string, error) {
 }
 
 // ScenarioKeys computes every cell's content address in index order —
-// scenarioKeys exported for the sweep service, whose result rows are keyed
-// by exactly these addresses (dedup across jobs rides on the cache keys).
+// scenarioKeys exported for the sweep service, which streams a job's results
+// from the cache entries under exactly these addresses.
 func ScenarioKeys(scenarios []Scenario) ([]string, error) {
 	return scenarioKeys(scenarios)
 }
@@ -656,18 +658,31 @@ func (r *Runner) RunScenarios(scenarios []Scenario) ([]ScenarioResult, error) {
 		return nil, sinkErr
 	}
 
-	// Every own cell resolved: index the sweep under its completion
-	// manifest — the matrix manifest unsharded, the shard's own manifest
-	// sharded — so the next identical run opens one file instead of probing
-	// cells, and a merge assembles from `total` manifests instead of n
-	// cells. Like cell writes, a failed manifest write only costs future
-	// speed, but it is tracked separately from CacheWriteErrors: every
-	// computed cell's result WAS persisted.
+	// Every own cell resolved. Sync the range first: the sweep service
+	// keeps results nowhere but the cache, so a sweep is complete only once
+	// its cells would survive a machine crash, and syncing here, not per
+	// Put, keeps the disk off the path of each streamed cell. Then index
+	// the sweep under its completion manifest — the matrix manifest
+	// unsharded, the shard's own manifest sharded — so the next identical
+	// run opens one file instead of probing cells, and a merge assembles
+	// from `total` manifests instead of n cells. A cell that was not
+	// persisted gets no manifest over it: a manifest hit would serve the
+	// sweep while that cell's own entry, which the sweep service streams
+	// results from, is missing. Like cell writes, a failed manifest write
+	// only costs future speed, but it is tracked separately from
+	// CacheWriteErrors: every cell WAS persisted.
 	manifestWriteError := false
-	if store != nil && !manifestHit && !failed && next == hi {
-		if spec.sharded() {
+	if store != nil && !manifestHit && !failed && next == hi && putErrors.Load() == 0 {
+		for _, key := range keys[lo:hi] {
+			if store.Sync(key) != nil {
+				putErrors.Add(1)
+			}
+		}
+		switch {
+		case putErrors.Load() > 0:
+		case spec.sharded():
 			manifestWriteError = store.Put(shardManifestKey(keys, spec.Shard, spec.Total), results[lo:hi]) != nil
-		} else {
+		default:
 			manifestWriteError = store.Put(manifestKey, results) != nil
 		}
 	}

@@ -644,6 +644,43 @@ func TestRunnerManifestWriteErrorTrackedSeparately(t *testing.T) {
 	}
 }
 
+// TestRunnerNoManifestOverFailedCellWrite: a directory squatting at one
+// cell's entry path makes that cell's write fail. The sweep still returns
+// every result, but it writes no completion manifest, matrix or shard: a
+// manifest hit would serve the sweep while the cell's own entry is missing.
+func TestRunnerNoManifestOverFailedCellWrite(t *testing.T) {
+	m := runnerMatrix()
+	scenarios, err := m.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := scenarioKeys(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []ShardSpec{{}, {Shard: 0, Total: 2}} {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, keys[1]+".json"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		sink := &recordingSink{}
+		results, err := NewRunner(WithCache(dir), WithShard(spec), WithSinks(sink)).Run(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := Partition(len(keys), spec.Shard, spec.normalized().Total)
+		if len(results) != hi-lo || sink.summary.CacheWriteErrors != 1 || sink.summary.ManifestWriteError {
+			t.Fatalf("shard %+v: %d results, summary %+v; want %d results and 1 cell write error",
+				spec, len(results), sink.summary, hi-lo)
+		}
+		for _, manifest := range []string{matrixManifestKey(keys), shardManifestKey(keys, 0, 2)} {
+			if _, err := os.Stat(filepath.Join(dir, manifest+".json")); !os.IsNotExist(err) {
+				t.Fatalf("shard %+v: manifest %s written over a failed cell write (stat: %v)", spec, manifest, err)
+			}
+		}
+	}
+}
+
 func TestWorkerResolutionIsLazy(t *testing.T) {
 	orig := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(orig)

@@ -19,10 +19,10 @@ package service
 //
 // Byte-identity survives distribution for the same reason it survives
 // sharded CLI runs: every cell's randomness descends from its per-scenario
-// derived seed, so any worker computes the same row bytes, and rows are
-// merged by matrix index into the same store the solo path writes. Duplicate
-// work — a zombie worker finishing a shard that was re-assigned — lands as
-// an idempotent upsert of identical bytes.
+// derived seed, so any worker computes the same row bytes, and uploaded rows
+// land in the coordinator's result cache under the same cell keys the solo
+// path writes. Duplicate work — a zombie worker finishing a shard that was
+// re-assigned — lands as an idempotent overwrite with identical bytes.
 //
 // Assignments, attempt counts, and lease deadlines persist in the store
 // (schema v3), so a coordinator restart resumes dispatch: done shards stay
@@ -42,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"iotmpc/internal/cache"
 	"iotmpc/internal/experiment"
 	"iotmpc/internal/store"
 )
@@ -153,7 +154,7 @@ type workerState struct {
 type dispatchJob struct {
 	id    string
 	spec  json.RawMessage
-	keys  []string // per-cell row keys, index order
+	keys  []string // per-cell cache keys, index order
 	cells int
 
 	assigns     []store.ShardAssignment // nil until the first worker heartbeat fixes the shard total
@@ -170,8 +171,6 @@ type dispatchJob struct {
 // dispatchStore is the part of *store.Store the dispatcher reads and
 // writes; tests substitute one whose assignment writes fail.
 type dispatchStore interface {
-	Row(key string) ([]byte, bool)
-	PutRow(key string, row []byte) error
 	Assignments(id string) ([]store.ShardAssignment, bool)
 	SetAssignments(id string, assigns []store.ShardAssignment, sync bool) error
 }
@@ -180,6 +179,7 @@ type dispatchStore interface {
 // All fields behind mu; handlers and the lease scan share it.
 type dispatcher struct {
 	store       dispatchStore
+	cache       *cache.Store // where uploaded rows land: the server's result cache
 	leaseTTL    time.Duration
 	backoffBase time.Duration
 	backoffMax  time.Duration
@@ -192,9 +192,10 @@ type dispatcher struct {
 	changed chan struct{} // closed and replaced when pending work appears
 }
 
-func newDispatcher(cfg Config) *dispatcher {
+func newDispatcher(cfg Config, results *cache.Store) *dispatcher {
 	d := &dispatcher{
 		store:       cfg.Store,
+		cache:       results,
 		leaseTTL:    cfg.LeaseTTL,
 		backoffBase: cfg.ShardBackoffBase,
 		backoffMax:  cfg.ShardBackoffMax,
@@ -235,7 +236,7 @@ func (d *dispatcher) backoff(attempts int) time.Duration {
 
 // admit registers a job for distributed execution, resuming persisted
 // assignments if the store has them (coordinator restart): done shards stay
-// done — their rows are already in the store — and shards that were assigned
+// done — their rows are already in the cache — and shards that were assigned
 // when the previous coordinator died return to pending with attempts intact
 // (their workers' registrations died with the process, so the leases are
 // void, but the restart itself is not the shard's fault: no backoff).
@@ -249,7 +250,11 @@ func (d *dispatcher) admit(id string, spec json.RawMessage, keys []string) (*dis
 		done:        make(chan struct{}),
 	}
 	for i, key := range keys {
-		if _, ok := d.store.Row(key); ok {
+		_, ok, err := d.cache.GetRaw(key)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			dj.rowsPresent[i] = true
 			dj.completed++
 		}
@@ -536,11 +541,14 @@ func (d *dispatcher) initAssignments(dj *dispatchJob) {
 }
 
 // rows ingests a batch of completed cell rows (JSONL, one ScenarioResult
-// per line, exactly the bytes a solo run's sink would persist). Rows merge
-// by matrix index into the same store the local path writes; a duplicate —
-// two workers racing the same shard — upserts identical bytes, so no
-// freshness check is needed or wanted. stale=true means the job is no
-// longer dispatching here.
+// per line, exactly the bytes a solo run's cache entry holds). Each row is
+// written into the coordinator's result cache under its cell key BEFORE it
+// is marked present, so a progress count or a completion check never runs
+// ahead of what the results stream can serve; shardDone makes the rows
+// durable. A duplicate — two workers
+// racing the same shard — overwrites identical bytes, so no freshness
+// check is needed or wanted. stale=true means the job is no longer
+// dispatching here.
 func (d *dispatcher) rows(jobID string, lines [][]byte) (accepted int, stale bool, err error) {
 	type indexed struct {
 		Scenario struct {
@@ -562,7 +570,7 @@ func (d *dispatcher) rows(jobID string, lines [][]byte) (accepted int, stale boo
 		if i < 0 || i >= dj.cells {
 			return accepted, false, fmt.Errorf("row index %d outside matrix of %d cells", i, dj.cells)
 		}
-		if err := d.store.PutRow(dj.keys[i], line); err != nil {
+		if err := d.cache.Put(dj.keys[i], json.RawMessage(line)); err != nil {
 			return accepted, false, err
 		}
 		accepted++
@@ -612,6 +620,13 @@ func (d *dispatcher) shardDone(jobID string, shard int, sum experiment.RunSummar
 	for i := lo; i < hi; i++ {
 		if !dj.rowsPresent[i] {
 			return resp, fmt.Errorf("shard %d reported done but row %d has not landed", shard, i)
+		}
+	}
+	// Rows land unsynced, so each reaches the results stream without
+	// waiting on the disk; the shard is done only once they are durable.
+	for _, key := range dj.keys[lo:hi] {
+		if err := d.cache.Sync(key); err != nil {
+			return resp, err
 		}
 	}
 	a.State = store.ShardDone
@@ -883,7 +898,7 @@ func (s *Server) runJobDispatch(id string, aj *activeJob, job store.Job, m exper
 		}
 		summary := sum.Summary
 		summary.Cells = dj.cells
-		return s.finishJob(id, store.Done, "", &summary)
+		return s.finishRun(id, summary)
 	}
 }
 

@@ -521,3 +521,31 @@ func getHealthz(t *testing.T, f *fixture) healthz {
 	}
 	return h
 }
+
+// TestCoordinatorFailsJobOnCacheWriteErrors: the merged summary of a
+// distributed job counts the cache writes its workers could not make, and a
+// job with any fails with a CacheWriteError instead of reaching Done. The
+// uploaded rows themselves are in the coordinator's cache.
+func TestCoordinatorFailsJobOnCacheWriteErrors(t *testing.T) {
+	f := newCoordFixture(t, t.TempDir(), t.TempDir(), nil)
+	m := testMatrix()
+	job := f.submit(t, m)
+	w := registerRaw(t, f.ts.URL, "lossy")
+	g := waitGrant(t, f.ts.URL, w.ID)
+	uploadRowsRaw(t, f.ts.URL, w.ID, g, rowLines(t, m))
+	body, _ := json.Marshal(shardDoneRequest{Attempt: g.Attempt,
+		Summary: experiment.RunSummary{Cells: 4, Computed: 4, CacheWriteErrors: 1}})
+	resp, err := http.Post(fmt.Sprintf("%s/v1/workers/%s/shards/%s/%d/done", f.ts.URL, w.ID, g.Job, g.Shard),
+		"application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	got := f.waitState(t, job.ID, store.Failed)
+	if !strings.Contains(got.Error, "result cache write failed for 1 of 4 cells") {
+		t.Fatalf("failure cause %q", got.Error)
+	}
+	if stream := f.results(t, job.ID); !bytes.Equal(stream, localJSONL(t, m)) {
+		t.Fatalf("uploaded rows not in the coordinator's cache:\n%s", stream)
+	}
+}

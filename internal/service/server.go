@@ -4,13 +4,14 @@
 // and their Runners share one worker pool that interleaves cells across jobs
 // under deficit round-robin (see scheduler.go) — a 1-cell job submitted
 // behind a 10k-cell sweep finishes in seconds instead of hours. The Sink
-// interface is the transport boundary: a storeSink persists every completed
-// cell into the durable store and fans progress out to SSE subscribers.
-// Results stream back as JSONL (GET /v1/jobs/{id}/results) in deterministic
+// interface is the transport boundary: a storeSink keeps the job's progress
+// in the durable store and fans it out to SSE subscribers. All jobs share
+// one content-addressed result cache, which is where results live: a matrix
+// any job has computed before costs nothing to run again, and results
+// stream back from it as JSONL (GET /v1/jobs/{id}/results) in deterministic
 // index order, byte-identical to what a CLI run of the same matrix prints —
 // per-scenario derived seeds and index-ordered emission make the
-// interleaving invisible. All jobs share one content-addressed result cache,
-// so a matrix any job has computed before costs nothing to run again.
+// interleaving invisible.
 //
 // Jobs can be canceled (DELETE /v1/jobs/{id}): a queued job dies instantly,
 // a running one has its context canceled — in-flight cells finish, parked
@@ -39,10 +40,11 @@ import (
 
 // Config wires a Server to its store, cache, and Runner knobs.
 type Config struct {
-	// Store is the durable job/result store. Required.
+	// Store is the durable job store. Required.
 	Store *store.Store
 	// CacheDir roots the content-addressed result cache every job shares —
-	// the deduplicated corpus. Required.
+	// the deduplicated corpus, and the only copy of each job's results.
+	// Required.
 	CacheDir string
 	// Workers sizes the shared cell pool all active jobs draw from, and
 	// TrialWorkers and Lanes configure each job's Runner exactly like the
@@ -111,10 +113,11 @@ type Server struct {
 	running map[string]*activeJob
 }
 
-// New builds a Server over an open store: jobs left running by a crashed or
-// drained predecessor are re-queued for resume, jobs predating the schema-2
-// key lists get them backfilled (so GC can account for their rows), and
-// everything queued is picked up once Start is called.
+// New builds a Server over an open store: result rows a schema-3 store
+// still holds are written into the cache first (on a coordinator they
+// exist nowhere else), jobs left running by a crashed or drained
+// predecessor are re-queued for resume, and everything queued is picked up
+// once Start is called.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("service: nil store")
@@ -124,6 +127,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	cacheStore, err := cache.Open(cfg.CacheDir)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Store.ImportLegacyRows(func(key string, row json.RawMessage) error {
+		if _, ok, err := cacheStore.GetRaw(key); ok || err != nil {
+			return err
+		}
+		if err := cacheStore.Put(key, row); err != nil {
+			return err
+		}
+		return cacheStore.Sync(key)
+	}); err != nil {
 		return nil, err
 	}
 	if cfg.MaxActiveJobs <= 0 {
@@ -146,7 +160,7 @@ func New(cfg Config) (*Server, error) {
 		running: make(map[string]*activeJob),
 	}
 	if cfg.Coordinator {
-		s.disp = newDispatcher(cfg)
+		s.disp = newDispatcher(cfg, cacheStore)
 	}
 	for _, job := range cfg.Store.Jobs() {
 		// Recovery: a job that was Running when the previous process stopped
@@ -158,30 +172,6 @@ func New(cfg Config) (*Server, error) {
 				j.State = store.Queued
 				j.Error = "resumable: interrupted by restart"
 			}); err != nil {
-				cancel()
-				s.pool.close()
-				return nil, err
-			}
-		}
-		// Backfill: a job created before schema 2 has no recorded row keys,
-		// which blocks GC from sweeping any rows (it cannot know what the
-		// job references). The keys are a pure function of the stored spec,
-		// so recompute them. Best-effort — a spec that no longer expands
-		// just stays unrecorded and GC stays conservative.
-		if _, ok := cfg.Store.JobKeys(job.ID); !ok {
-			var m experiment.Matrix
-			if json.Unmarshal(job.Spec, &m) != nil {
-				continue
-			}
-			scenarios, err := m.Scenarios()
-			if err != nil {
-				continue
-			}
-			keys, err := experiment.ScenarioKeys(scenarios)
-			if err != nil {
-				continue
-			}
-			if err := cfg.Store.SetJobKeys(job.ID, keys); err != nil {
 				cancel()
 				s.pool.close()
 				return nil, err
@@ -350,7 +340,7 @@ func (s *Server) runJob(id string) error {
 	canceled := s.unclaim(id)
 	switch {
 	case runErr == nil:
-		return s.finishJob(id, store.Done, "", &sink.summary)
+		return s.finishRun(id, sink.summary)
 	case canceled && errors.Is(runErr, context.Canceled):
 		return s.finishJob(id, store.Canceled,
 			fmt.Sprintf("canceled by client after %d/%d cells", sink.completed, sink.cells), nil)
@@ -395,6 +385,32 @@ func (s *Server) finishJob(id string, state store.State, errMsg string, sum *exp
 	return nil
 }
 
+// CacheWriteError is the typed failure of a job whose run computed every
+// cell but could not write some of them into the result cache. The cache
+// is the only copy of a job's results, so such a job cannot be Done: its
+// result stream would stop at the first missing cell.
+type CacheWriteError struct {
+	Job    string
+	Failed int // cells whose cache write failed
+	Cells  int
+}
+
+func (e *CacheWriteError) Error() string {
+	return fmt.Sprintf("job %s: result cache write failed for %d of %d cells; their results were not persisted",
+		e.Job, e.Failed, e.Cells)
+}
+
+// finishRun records a run that completed every cell: Done, unless a cell's
+// result never reached the cache, which fails the job with a
+// CacheWriteError.
+func (s *Server) finishRun(id string, sum experiment.RunSummary) error {
+	if sum.CacheWriteErrors > 0 {
+		err := &CacheWriteError{Job: id, Failed: sum.CacheWriteErrors, Cells: sum.Cells}
+		return s.finishJob(id, store.Failed, err.Error(), &sum)
+	}
+	return s.finishJob(id, store.Done, "", &sum)
+}
+
 // publishState broadcasts the job record as an SSE "state" event.
 func (s *Server) publishState(job store.Job) {
 	if data, err := json.Marshal(job); err == nil {
@@ -412,9 +428,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // handleSubmit accepts a Matrix spec, validates it, and queues the job.
 // Validation failures are invalid_argument envelopes naming the offending
 // JSON field — the point of Matrix.Validate — and unknown fields are
-// rejected so a typoed axis name cannot silently select a default. The
-// job's row keys are recorded at submission, which is what lets GC sweep
-// rows once the last referencing job is pruned.
+// rejected so a typoed axis name cannot silently select a default.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
@@ -435,11 +449,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codeInvalidArgument, specField(err), err.Error())
 		return
 	}
-	keys, err := experiment.ScenarioKeys(scenarios)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, codeInternal, "", err.Error())
-		return
-	}
 	spec, err := json.Marshal(m)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, codeInternal, "", err.Error())
@@ -447,10 +456,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.cfg.Store.CreateJob(spec, len(scenarios))
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, codeInternal, "", err.Error())
-		return
-	}
-	if err := s.cfg.Store.SetJobKeys(job.ID, keys); err != nil {
 		httpError(w, http.StatusInternalServerError, codeInternal, "", err.Error())
 		return
 	}
@@ -570,7 +575,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResults streams the job's results as JSONL in index order: for each
-// cell, the row persisted by the storeSink — exactly the bytes a CLI run
+// cell, the value of its result-cache entry — exactly the bytes a CLI run
 // with -out jsonl prints. A still-running job streams its completed prefix
 // (the X-Sweep-State header says which case the client is in).
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -598,11 +603,13 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sweep-State", string(job.State))
 	w.WriteHeader(http.StatusOK)
 	for _, key := range keys {
-		row, ok := s.cfg.Store.Row(key)
-		if !ok {
-			// Rows land in index order, so the first gap is the frontier of
-			// a job still running (or interrupted): the prefix IS the
-			// deterministic stream so far.
+		row, ok, err := s.cache.GetRaw(key)
+		if !ok || err != nil {
+			// A job's cells are emitted in index order, each after its cache
+			// write, so the first gap is the frontier of a job still running
+			// (or interrupted): the prefix IS the deterministic stream so
+			// far. A read fault also ends the stream, which has no way left
+			// to report it.
 			return
 		}
 		w.Write(row)
@@ -730,7 +737,6 @@ type healthz struct {
 	Status      string              `json:"status"`
 	Cache       cache.Stats         `json:"cache"`
 	Jobs        map[store.State]int `json:"jobs"`
-	StoreRows   int                 `json:"storeRows"`
 	QueuedDepth int                 `json:"queuedDepth"`
 	ActiveJobs  int                 `json:"activeJobs"`
 	Workers     []workerHealth      `json:"workers,omitempty"`
@@ -745,7 +751,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, codeInternal, "", err.Error())
 		return
 	}
-	h := healthz{Status: "ok", Cache: stats, Jobs: make(map[store.State]int), StoreRows: s.cfg.Store.RowCount()}
+	h := healthz{Status: "ok", Cache: stats, Jobs: make(map[store.State]int)}
 	for _, job := range s.cfg.Store.Jobs() {
 		h.Jobs[job.State]++
 	}

@@ -4,13 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"iotmpc/internal/cache"
 	"iotmpc/internal/experiment"
 	"iotmpc/internal/store"
 )
@@ -427,8 +432,8 @@ func TestRestartResumeComputesOnlyMissing(t *testing.T) {
 	}
 }
 
-// TestResultsPrefixWhileIncomplete: a job with persisted rows for a prefix
-// of its cells streams exactly that prefix.
+// TestResultsPrefixWhileIncomplete: a job whose cache holds entries for a
+// prefix of its cells streams exactly that prefix.
 func TestResultsPrefixWhileIncomplete(t *testing.T) {
 	storeDir, cacheDir := t.TempDir(), t.TempDir()
 	m := testMatrix()
@@ -443,7 +448,8 @@ func TestResultsPrefixWhileIncomplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Persist rows for cells 0 and 1 only — cell 2 is the frontier.
+	st.Close()
+	// Cache entries for cells 0 and 1 only — cell 2 is the frontier.
 	scenarios, err := m.Scenarios()
 	if err != nil {
 		t.Fatal(err)
@@ -452,18 +458,58 @@ func TestResultsPrefixWhileIncomplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	results, err := cache.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := bytes.SplitAfter(want, []byte("\n"))
 	for i := 0; i < 2; i++ {
-		if err := st.PutRow(keys[i], bytes.TrimSuffix(lines[i], []byte("\n"))); err != nil {
+		if err := results.Put(keys[i], json.RawMessage(bytes.TrimSuffix(lines[i], []byte("\n")))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.Close()
 
 	f := newFixture(t, storeDir, cacheDir, false)
 	got := f.results(t, job.ID)
 	if wantPrefix := append(append([]byte(nil), lines[0]...), lines[1]...); !bytes.Equal(got, wantPrefix) {
 		t.Fatalf("prefix stream:\n got: %s\nwant: %s", got, wantPrefix)
+	}
+}
+
+// TestCacheWriteFailureFailsJob: a job whose cell could not be written to
+// the result cache ends Failed with a CacheWriteError, not Done with a
+// short stream, and no completion manifest hides the gap from a rerun.
+func TestCacheWriteFailureFailsJob(t *testing.T) {
+	cacheDir := t.TempDir()
+	m := testMatrix()
+	scenarios, err := m.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := experiment.ScenarioKeys(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory squatting at cell 2's entry path: its write fails.
+	if err := os.Mkdir(filepath.Join(cacheDir, keys[2]+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f := newFixture(t, t.TempDir(), cacheDir, true)
+	job := f.submit(t, m)
+	got := f.waitState(t, job.ID, store.Failed)
+	if !strings.Contains(got.Error, "result cache write failed for 1 of 4 cells") {
+		t.Fatalf("failure cause %q", got.Error)
+	}
+	lines := bytes.SplitAfter(localJSONL(t, m), []byte("\n"))
+	if stream, want := f.results(t, job.ID), bytes.Join(lines[:2], nil); !bytes.Equal(stream, want) {
+		t.Fatalf("stream:\n got %s\nwant the 2-cell prefix %s", stream, want)
+	}
+	entries, err := os.ReadDir(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 4 { // cells 0, 1 and 3 plus the squatter; no manifest
+		t.Fatalf("cache holds %d entries, want the 3 written cells and the squatter", len(entries))
 	}
 }
 
@@ -524,9 +570,6 @@ func TestHealthz(t *testing.T) {
 	if h.Jobs[store.Done] != 1 {
 		t.Errorf("job states %+v", h.Jobs)
 	}
-	if h.StoreRows != 4 {
-		t.Errorf("store rows %d, want 4", h.StoreRows)
-	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -572,4 +615,123 @@ func TestFailedJobRecordsError(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("malformed job never failed")
+}
+
+// schema3Store copies testdata/schema3 — a store written by the schema-3
+// code — into a fresh directory. It holds a Done distributed job over
+// testMatrix whose four result rows exist only in the store: two in the
+// snapshot beside a jobKeys map, two as WAL "row" records. A canceled job's
+// key list is a WAL "keys" record.
+func schema3Store(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot.json", "wal.log"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "schema3", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// schema3Rows is the fixture job's result stream as the fixture stores it:
+// each cell's row, snapshot or WAL, in index order.
+func schema3Rows(t *testing.T) []byte {
+	t.Helper()
+	rows := map[string]json.RawMessage{}
+	raw, err := os.ReadFile(filepath.Join("testdata", "schema3", "snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Rows map[string]json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	maps.Copy(rows, snap.Rows)
+	raw, err = os.ReadFile(filepath.Join("testdata", "schema3", "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec struct {
+			Op  string          `json:"op"`
+			Key string          `json:"key"`
+			Row json.RawMessage `json:"row"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op == "row" {
+			rows[rec.Key] = rec.Row
+		}
+	}
+	scenarios, err := testMatrix().Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := experiment.ScenarioKeys(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, key := range keys {
+		if rows[key] == nil {
+			t.Fatalf("fixture lacks the row of cell %s", key)
+		}
+		out = append(append(out, rows[key]...), '\n')
+	}
+	return out
+}
+
+// TestSchemaThreeUpgrade: opening a schema-3 store under New moves its
+// rows into the (empty) cache, so the job's results stream byte for byte as
+// the store held them, and the next checkpoint writes schema 4 without rows
+// or key lists. A store opened and closed without New first still hands
+// every row over at the next New.
+func TestSchemaThreeUpgrade(t *testing.T) {
+	want := schema3Rows(t)
+	if !bytes.Equal(want, localJSONL(t, testMatrix())) {
+		t.Fatal("fixture rows differ from a local run of testMatrix")
+	}
+	t.Run("import", func(t *testing.T) {
+		dir := schema3Store(t)
+		f := newFixture(t, dir, t.TempDir(), false)
+		if got := f.results(t, "j000001"); !bytes.Equal(got, want) {
+			t.Fatalf("results after upgrade:\n got %s\nwant %s", got, want)
+		}
+		if _, _, err := f.st.GC(); err != nil { // a checkpoint
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if string(snap["schema"]) != fmt.Sprint(store.SchemaVersion) || snap["rows"] != nil || snap["jobKeys"] != nil {
+			t.Fatalf("checkpoint after upgrade: schema %s, rows %d bytes, jobKeys %d bytes; want schema %d without either",
+				snap["schema"], len(snap["rows"]), len(snap["jobKeys"]), store.SchemaVersion)
+		}
+	})
+	t.Run("close before import", func(t *testing.T) {
+		dir := schema3Store(t)
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f := newFixture(t, dir, t.TempDir(), false)
+		if got := f.results(t, "j000001"); !bytes.Equal(got, want) {
+			t.Fatalf("results after close and reopen:\n got %s\nwant %s", got, want)
+		}
+	})
 }

@@ -2,24 +2,23 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"iotmpc/internal/experiment"
 	"iotmpc/internal/store"
 )
 
 // storeSink is the transport boundary between the Runner and the service:
-// an experiment.Sink that persists each completed cell as a result row the
-// moment it is emitted, keeps the job's progress counters current, and fans
-// progress events out to SSE subscribers. Because the Runner drives sinks in
-// strict index order, the rows a job leaves behind replay as exactly the
-// JSONL stream a CLI run of the same matrix prints.
+// an experiment.Sink that keeps the job's progress counters current and fans
+// progress events out to SSE subscribers. It persists no rows: the Runner
+// has already written each cell's result into the shared result cache when
+// it emits the cell, and the results stream reads them from there. Because
+// the Runner drives sinks in strict index order, a progress event's
+// Completed count is always a prefix the stream can serve.
 type storeSink struct {
 	store *store.Store
 	hub   *hub
 	jobID string
 
-	keys      []string
 	cells     int
 	completed int
 	summary   experiment.RunSummary
@@ -34,37 +33,20 @@ type progressEvent struct {
 	Cached    bool   `json:"cached"`
 }
 
-// OnStart implements experiment.Sink: resolve every cell's content address
-// once (rows are keyed by them) and record the job's cell count.
+// OnStart implements experiment.Sink: record the job's cell count.
 func (s *storeSink) OnStart(plan experiment.Plan) error {
-	keys, err := experiment.ScenarioKeys(plan.Scenarios)
-	if err != nil {
-		return err
-	}
-	s.keys = keys
 	s.cells = len(plan.Scenarios)
 	s.completed = 0
-	_, err = s.store.UpdateJob(s.jobID, false, func(j *store.Job) {
+	_, err := s.store.UpdateJob(s.jobID, false, func(j *store.Job) {
 		j.Cells = s.cells
 		j.Completed = 0
 	})
 	return err
 }
 
-// OnResult implements experiment.Sink: one row per cell, keyed by the
-// cell's cache key, holding exactly the bytes a JSONLSink would print.
+// OnResult implements experiment.Sink: count the cell and publish its
+// progress event.
 func (s *storeSink) OnResult(r experiment.ScenarioResult) error {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	if r.Scenario.Index < 0 || r.Scenario.Index >= len(s.keys) {
-		return fmt.Errorf("service: result index %d outside matrix of %d cells",
-			r.Scenario.Index, len(s.keys))
-	}
-	if err := s.store.PutRow(s.keys[r.Scenario.Index], raw); err != nil {
-		return err
-	}
 	s.completed++
 	if _, err := s.store.UpdateJob(s.jobID, false, func(j *store.Job) {
 		j.Completed = s.completed

@@ -409,7 +409,7 @@ func (w *Worker) reportDone(ctx context.Context, g shardGrant, sum experiment.Ru
 }
 
 // uploadSink is the worker-side experiment.Sink: it buffers each completed
-// cell's row — the exact bytes a solo run's storeSink persists — and
+// cell's row — the exact bytes a solo run's cache entry holds — and
 // streams them to the coordinator as they land. An upload failure keeps the
 // rows buffered; the next OnResult (or the done report) re-flushes, so a
 // flaky link degrades to batching, never to loss.
@@ -487,7 +487,7 @@ func (u *uploadSink) flush() error {
 }
 
 // rewind marks every row unsent, forcing the next flush to re-upload the
-// whole shard (the coordinator's PutRow is an idempotent upsert, so
+// whole shard (the coordinator's cache Put is an idempotent overwrite, so
 // re-sending is always safe).
 func (u *uploadSink) rewind() {
 	u.mu.Lock()

@@ -1,32 +1,32 @@
-// Package store is the sweep service's durable job/result store: every job
-// the HTTP API accepts, its position in the queued → running →
-// done/failed/canceled state machine, its per-cell progress, and one result
-// row per completed cell — keyed by the cell's content-addressed cache key,
-// so identical cells from different jobs share one row. A RetentionPolicy
-// garbage-collects at checkpoint time: terminal jobs beyond the policy are
-// pruned and rows no surviving job references are swept (shared rows
-// survive until the last referencing job goes).
+// Package store is the sweep service's durable job store: every job the
+// HTTP API accepts, its position in the queued → running →
+// done/failed/canceled state machine, its progress counters, and — for a
+// distributed job — its shard assignments. Result rows are not here: each
+// completed cell lives in the content-addressed result cache, which the
+// service streams results from. A RetentionPolicy prunes terminal jobs (and
+// their assignments) at checkpoint time.
 //
 // Durability is stdlib-only — no cgo, no SQLite: an append-only write-ahead
 // log of JSON records plus a periodic snapshot, both in one directory. Every
 // mutation appends a WAL record first; reopening replays snapshot + WAL, so
 // a crash at any point loses at most the unsynced tail (job-state
-// transitions are fsynced; result rows ride on the next state sync, and a
-// row lost to a crash is recomputed from the result cache on resume). A torn
-// final record — the signature of a crash mid-append — is detected and
-// truncated away on Open; corruption anywhere else is an error, never a
+// transitions are fsynced; progress counters ride on the next state sync).
+// A torn final record — the signature of a crash mid-append — is detected
+// and truncated away on Open; corruption anywhere else is an error, never a
 // silent skip.
 //
-// Snapshots are schema-versioned (SchemaVersion) with a startup migration
-// path: Open upgrades an older snapshot step by step through the migrations
-// table before serving it, and refuses a snapshot newer than the code.
+// Snapshots are schema-versioned (SchemaVersion). Every older layout
+// decodes as the current one, and Open refuses a snapshot newer than the
+// code. Schema 3 and older also held result rows and per-job row-key lists;
+// Open keeps such rows aside until ImportLegacyRows hands them to the
+// service, which writes them into the result cache.
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -87,8 +87,8 @@ type Job struct {
 	// note when a drain re-queued an in-flight job.
 	Error string `json:"error,omitempty"`
 	// Cells is the expanded matrix size; Completed counts cells whose result
-	// has been emitted (and its row persisted), so Completed/Cells is the
-	// job's progress bar.
+	// has been emitted (and written to the result cache), so Completed/Cells
+	// is the job's progress bar.
 	Cells     int `json:"cells"`
 	Completed int `json:"completed"`
 	// CacheHits/Computed/Resumed mirror the Runner's RunSummary for the
@@ -105,8 +105,9 @@ type Job struct {
 }
 
 // SchemaVersion stamps every snapshot this code writes. Bump it when the
-// snapshot layout changes, and register the upgrade in migrations.
-const SchemaVersion = 3
+// snapshot layout changes. Schema 4 dropped result rows and per-job row-key
+// lists; 3 added shard assignments, 2 the key lists, 1 the rows.
+const SchemaVersion = 4
 
 // Shard assignment states: a distributed job's shard is waiting for a
 // worker, leased to one, or finished. There is no terminal failure state at
@@ -145,66 +146,34 @@ type ShardAssignment struct {
 }
 
 // snapshot is the on-disk checkpoint: full store state at one WAL horizon.
+// Older schemas decode into it as they are: fields they lack stay empty,
+// and fields since dropped (jobKeys) are ignored.
 type snapshot struct {
-	Schema int                        `json:"schema"`
-	Jobs   []Job                      `json:"jobs"`
-	Rows   map[string]json.RawMessage `json:"rows"`
-	// JobKeys maps a job ID to the content-addressed row keys its cells
-	// emit, in index order — the reference edges garbage collection marks
-	// from (schema 2).
-	JobKeys map[string][]string `json:"jobKeys,omitempty"`
+	Schema int   `json:"schema"`
+	Jobs   []Job `json:"jobs"`
+	// Rows holds result rows read from a schema-3 or older store that
+	// ImportLegacyRows has not yet handed over; it is empty, and omitted,
+	// in any store that began at schema 4 or has been imported.
+	Rows map[string]json.RawMessage `json:"rows,omitempty"`
 	// Assignments maps a job ID to its distributed-dispatch shard state, so
 	// a coordinator restart resumes dispatch without recomputing finished
 	// shards (schema 3).
 	Assignments map[string][]ShardAssignment `json:"assignments,omitempty"`
 }
 
-// migrations upgrades a decoded snapshot one schema step at a time: the
-// function at key v takes a valid schema-v snapshot to schema v+1. Schema 0
-// is the legacy jobs-only layout from before result rows existed (no schema
-// stamp, no rows map). Schema 1 predates per-job row keys; a migrated job
-// has no key list, which GC treats as "references unknown" and refuses to
-// sweep rows around (the service backfills keys from the stored spec at
-// startup, after which sweeping resumes).
-var migrations = map[int]func(*snapshot){
-	0: func(s *snapshot) {
-		if s.Rows == nil {
-			s.Rows = map[string]json.RawMessage{}
-		}
-		s.Schema = 1
-	},
-	1: func(s *snapshot) {
-		if s.JobKeys == nil {
-			s.JobKeys = map[string][]string{}
-		}
-		s.Schema = 2
-	},
-	// Schema 2 predates distributed dispatch: no shard assignments. A
-	// migrated job simply has none, which the coordinator treats as "never
-	// dispatched" and partitions afresh when it claims the job.
-	2: func(s *snapshot) {
-		if s.Assignments == nil {
-			s.Assignments = map[string][]ShardAssignment{}
-		}
-		s.Schema = 3
-	},
-}
-
 // record is one WAL entry. Op "job" upserts a full job record (idempotent,
-// last writer wins — replay order is append order); op "row" upserts one
-// result row; op "keys" records a job's row-key list (ID + Keys fields) —
-// the durable form of SetJobKeys, and the record a cancel rides on is a
+// last writer wins — replay order is append order); a cancel rides on a
 // plain op "job" carrying the canceled state. Op "assign" upserts a job's
 // full shard-assignment list (ID + Assign) — whole-list replacement keeps
 // replay trivially idempotent, and a job's list is at most a handful of
-// entries.
+// entries. A schema-3 store also wrote op "row" (Key + Row), replayed into
+// the legacy rows, and op "keys", which is ignored.
 type record struct {
 	Op     string            `json:"op"`
 	Job    *Job              `json:"job,omitempty"`
 	Key    string            `json:"key,omitempty"`
 	Row    json.RawMessage   `json:"row,omitempty"`
 	ID     string            `json:"id,omitempty"`
-	Keys   []string          `json:"keys,omitempty"`
 	Assign []ShardAssignment `json:"assign,omitempty"`
 }
 
@@ -234,19 +203,16 @@ type Store struct {
 	// it before concurrent use begins.
 	SnapshotEvery int
 	// Retention is applied at every checkpoint: terminal jobs beyond the
-	// policy are pruned, and rows no surviving job references are swept
-	// (rows shared by content address across jobs survive until the last
-	// referencing job is pruned). Change it before concurrent use begins;
-	// the zero policy disables GC.
+	// policy are pruned with their shard assignments. Change it before
+	// concurrent use begins; the zero policy disables GC.
 	Retention RetentionPolicy
 
 	mu          sync.Mutex
 	dir         string
 	wal         *os.File
 	jobs        map[string]Job
-	rows        map[string]json.RawMessage
-	jobKeys     map[string][]string
 	assignments map[string][]ShardAssignment
+	legacyRows  map[string]json.RawMessage // schema ≤ 3 rows awaiting ImportLegacyRows
 	walRecords  int
 	seq         int
 	closed      bool
@@ -256,8 +222,8 @@ func (s *Store) walPath() string      { return filepath.Join(s.dir, "wal.log") }
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, "snapshot.json") }
 
 // Open creates (if needed) and opens the store rooted at dir: load the
-// snapshot, migrate it to SchemaVersion if it is older, replay the WAL on
-// top, and truncate a torn final record left by a crash mid-append.
+// snapshot, replay the WAL on top, and truncate a torn final record left by
+// a crash mid-append.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -269,9 +235,8 @@ func Open(dir string) (*Store, error) {
 		SnapshotEvery: defaultSnapshotEvery,
 		dir:           dir,
 		jobs:          make(map[string]Job),
-		rows:          make(map[string]json.RawMessage),
-		jobKeys:       make(map[string][]string),
 		assignments:   make(map[string][]ShardAssignment),
+		legacyRows:    make(map[string]json.RawMessage),
 	}
 	if err := s.loadSnapshot(); err != nil {
 		return nil, err
@@ -293,7 +258,7 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// loadSnapshot reads and migrates the checkpoint, if one exists.
+// loadSnapshot reads the checkpoint, if one exists.
 func (s *Store) loadSnapshot() error {
 	raw, err := os.ReadFile(s.snapshotPath())
 	if os.IsNotExist(err) {
@@ -310,21 +275,11 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("store: snapshot schema %d is newer than this binary's %d; refusing to downgrade",
 			snap.Schema, SchemaVersion)
 	}
-	for snap.Schema < SchemaVersion {
-		migrate, ok := migrations[snap.Schema]
-		if !ok {
-			return fmt.Errorf("store: no migration from snapshot schema %d", snap.Schema)
-		}
-		migrate(&snap)
-	}
 	for _, j := range snap.Jobs {
 		s.jobs[j.ID] = j
 	}
 	for k, v := range snap.Rows {
-		s.rows[k] = v
-	}
-	for id, keys := range snap.JobKeys {
-		s.jobKeys[id] = keys
+		s.legacyRows[k] = v
 	}
 	for id, assigns := range snap.Assignments {
 		s.assignments[id] = assigns
@@ -379,11 +334,7 @@ func (s *Store) apply(rec record) {
 		}
 	case "row":
 		if rec.Key != "" {
-			s.rows[rec.Key] = rec.Row
-		}
-	case "keys":
-		if rec.ID != "" {
-			s.jobKeys[rec.ID] = rec.Keys
+			s.legacyRows[rec.Key] = rec.Row
 		}
 	case "assign":
 		if rec.ID != "" {
@@ -395,8 +346,8 @@ func (s *Store) apply(rec record) {
 // append writes one record to the WAL (and applies it), checkpointing into a
 // snapshot when the log has grown past SnapshotEvery records. sync forces
 // the record — and, by fsync semantics, every record before it — to disk
-// before returning; state transitions sync, high-rate row/progress records
-// ride on the next synced append.
+// before returning; state transitions sync, high-rate progress records ride
+// on the next synced append.
 func (s *Store) append(rec record, sync bool) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
@@ -426,20 +377,13 @@ func (s *Store) append(rec record, sync bool) error {
 }
 
 // gc applies the retention policy: prune terminal jobs beyond the policy,
-// then sweep rows no surviving job references. Caller holds s.mu. The
-// deletions live only in memory — durability comes from the checkpoint the
-// caller writes immediately after (a crash in between resurrects the pruned
-// state from the old snapshot+WAL, and the next GC prunes it again).
-//
-// Sweeping is mark-and-sweep over the jobKeys reference lists, which is
-// where the refcount semantics come from: a row shared by several jobs
-// stays marked until the last job referencing it is pruned. If any
-// surviving job has NO recorded key list (a schema-1 job the service has
-// not backfilled yet), its references are unknown, so row sweeping is
-// skipped entirely rather than risk deleting a row a live job still needs.
-func (s *Store) gc() (jobsPruned, rowsSwept int) {
+// with their shard assignments. Caller holds s.mu. The deletions live only
+// in memory — durability comes from the checkpoint the caller writes
+// immediately after (a crash in between resurrects the pruned state from
+// the old snapshot+WAL, and the next GC prunes it again).
+func (s *Store) gc() (jobsPruned int) {
 	if !s.Retention.active() {
-		return 0, 0
+		return 0
 	}
 	var terminal []Job
 	for _, j := range s.jobs {
@@ -468,68 +412,46 @@ func (s *Store) gc() (jobsPruned, rowsSwept int) {
 		tooOld := cutoff > 0 && j.Updated < cutoff
 		if tooMany || tooOld {
 			delete(s.jobs, j.ID)
-			delete(s.jobKeys, j.ID)
 			delete(s.assignments, j.ID)
 			jobsPruned++
 		}
 	}
-	if jobsPruned == 0 {
-		return 0, 0
-	}
-	live := make(map[string]struct{})
-	for id := range s.jobs {
-		keys, known := s.jobKeys[id]
-		if !known {
-			return jobsPruned, 0 // unknown references: never sweep around them
-		}
-		for _, k := range keys {
-			live[k] = struct{}{}
-		}
-	}
-	for k := range s.rows {
-		if _, ok := live[k]; !ok {
-			delete(s.rows, k)
-			rowsSwept++
-		}
-	}
-	return jobsPruned, rowsSwept
+	return jobsPruned
 }
 
 // GC applies the retention policy immediately and checkpoints the pruned
-// state, reporting how many jobs were pruned and rows swept. Deployments
-// that never hit the WAL threshold (or want deterministic cleanup at
-// startup) call this; steady-state pruning happens at every checkpoint
-// anyway.
+// state, reporting how many jobs were pruned. Deployments that never hit
+// the WAL threshold (or want deterministic cleanup at startup) call this;
+// steady-state pruning happens at every checkpoint anyway. rowsSwept is
+// always 0: the store holds no result rows since schema 4, and the result
+// keeps the signature of its one remaining reader, the benchmark.
 func (s *Store) GC() (jobsPruned, rowsSwept int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, 0, fmt.Errorf("store: closed")
 	}
-	jobsPruned, rowsSwept = s.gc()
-	if err := s.checkpoint(); err != nil {
-		return jobsPruned, rowsSwept, err
-	}
-	return jobsPruned, rowsSwept, nil
+	jobsPruned = s.gc()
+	return jobsPruned, 0, s.checkpoint()
 }
 
 // checkpoint writes the full state as a fresh snapshot (atomic tmp+rename)
 // and truncates the WAL. A crash between the rename and the truncate is
 // safe: replaying the old records onto the new snapshot is idempotent.
+// Legacy rows not yet imported stay in the snapshot, so neither a crash nor
+// an early Close loses them.
 func (s *Store) checkpoint() error {
-	snap := snapshot{Schema: SchemaVersion, Jobs: s.jobList(), Rows: s.rows,
-		JobKeys: s.jobKeys, Assignments: s.assignments}
+	raw, err := json.Marshal(snapshot{Schema: SchemaVersion, Jobs: s.jobList(),
+		Rows: s.legacyRows, Assignments: s.assignments})
+	if err != nil {
+		return fmt.Errorf("store: encode snapshot: %w", err)
+	}
 	tmp, err := os.CreateTemp(s.dir, "snapshot.tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	w := bufio.NewWriter(tmp)
-	if err := writeSnapshot(w, snap); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
+	if _, err := tmp.Write(raw); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
@@ -550,67 +472,6 @@ func (s *Store) checkpoint() error {
 		return fmt.Errorf("store: rewind wal: %w", err)
 	}
 	s.walRecords = 0
-	return nil
-}
-
-// writeSnapshot writes the bytes json.Marshal(snap) encodes, one row at a
-// time. Rows are most of a snapshot; marshaling it whole held it in memory
-// twice, once in the encoder's pooled buffer, which keeps that size after
-// the checkpoint, so the process's peak memory grew with the row count.
-// Write errors stick in w, and the caller's Flush reports them.
-func writeSnapshot(w *bufio.Writer, snap snapshot) error {
-	field := func(prefix string, v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("store: encode snapshot: %w", err)
-		}
-		w.WriteString(prefix)
-		w.Write(raw)
-		return nil
-	}
-	if err := field(`{"schema":`, snap.Schema); err != nil {
-		return err
-	}
-	if err := field(`,"jobs":`, snap.Jobs); err != nil {
-		return err
-	}
-	if snap.Rows == nil {
-		w.WriteString(`,"rows":null`)
-	}
-	keys := make([]string, 0, len(snap.Rows))
-	for k := range snap.Rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if snap.Rows != nil {
-		w.WriteString(`,"rows":{`)
-	}
-	for i, k := range keys {
-		sep := ","
-		if i == 0 {
-			sep = ""
-		}
-		if err := field(sep, k); err != nil {
-			return err
-		}
-		if err := field(":", snap.Rows[k]); err != nil {
-			return err
-		}
-	}
-	if snap.Rows != nil {
-		w.WriteString("}")
-	}
-	if len(snap.JobKeys) > 0 {
-		if err := field(`,"jobKeys":`, snap.JobKeys); err != nil {
-			return err
-		}
-	}
-	if len(snap.Assignments) > 0 {
-		if err := field(`,"assignments":`, snap.Assignments); err != nil {
-			return err
-		}
-	}
-	w.WriteString("}")
 	return nil
 }
 
@@ -686,28 +547,6 @@ func (s *Store) UpdateJob(id string, sync bool, mutate func(*Job)) (Job, error) 
 	return job, nil
 }
 
-// SetJobKeys durably records the content-addressed row keys job id's cells
-// emit, in index order. The service writes this once at submission; GC
-// marks live rows from these lists, so a job with recorded keys keeps its
-// rows alive (shared or not) until the job itself is pruned.
-func (s *Store) SetJobKeys(id string, keys []string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[id]; !ok {
-		return fmt.Errorf("store: no job %q", id)
-	}
-	return s.append(record{Op: "keys", ID: id, Keys: keys}, false)
-}
-
-// JobKeys returns the recorded row-key list for job id, and whether one was
-// ever recorded (schema-1 jobs have none until backfilled).
-func (s *Store) JobKeys(id string) ([]string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys, ok := s.jobKeys[id]
-	return keys, ok
-}
-
 // SetAssignments durably replaces job id's shard-assignment list. sync
 // forces the record to disk before returning: the coordinator syncs when a
 // shard reaches ShardDone (losing done-ness to a crash would recompute the
@@ -751,30 +590,28 @@ func (s *Store) Jobs() []Job {
 	return s.jobList()
 }
 
-// PutRow upserts one result row under its content-addressed cache key. Rows
-// are deduplicated by key across jobs: two jobs whose matrices share a cell
-// share its row. Not synced — a row lost to a crash is recomputed from the
-// result cache when the job resumes.
-func (s *Store) PutRow(key string, row []byte) error {
-	if key == "" {
-		return fmt.Errorf("store: empty row key")
+// ImportLegacyRows hands each result row a schema-3 or older store held —
+// in its snapshot or as WAL "row" records — to put, keyed by the cell's
+// content address, and forgets each row put accepts. If put fails, the
+// rows not yet accepted stay, and every checkpoint keeps writing them until
+// a later import succeeds. A store that began at schema 4 has none, and the
+// call costs nothing.
+func (s *Store) ImportLegacyRows(put func(key string, row json.RawMessage) error) error {
+	s.mu.Lock()
+	rows := maps.Clone(s.legacyRows)
+	s.mu.Unlock()
+	for key, row := range rows {
+		if err := put(key, row); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		delete(s.legacyRows, key)
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.append(record{Op: "row", Key: key, Row: json.RawMessage(row)}, false)
+	return nil
 }
 
-// Row returns the result row stored under key.
-func (s *Store) Row(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	row, ok := s.rows[key]
-	return row, ok
-}
-
-// RowCount reports how many distinct result rows the store holds.
-func (s *Store) RowCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.rows)
-}
+// RowCount always returns 0: since schema 4 the store holds no result rows
+// (legacy rows awaiting ImportLegacyRows are not counted). It stays for the
+// benchmark, its one caller, until the benchmark's next revision.
+func (s *Store) RowCount() int { return 0 }
