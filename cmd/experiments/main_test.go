@@ -91,6 +91,29 @@ func TestPanelTablesGolden(t *testing.T) {
 	}
 }
 
+// TestVerifiableMatrixGolden pins a small Feldman-verifiable matrix byte
+// for byte: the golden is the JSONL of `experiments -panel matrix -nodes
+// 12,20 -loss 0.1,0.3 -phy logdist,unitdisk -veclen 0,4 -verifiable true
+// -fail 0,0.1 -iters 4 -seed 1 -out jsonl`, recorded when every share was
+// verified on its own, so a change to how shares are checked cannot move
+// a row.
+func TestVerifiableMatrixGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "matrix_verifiable_iters4_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := captureStdout(t, func() error {
+		return run([]string{"-panel", "matrix", "-nodes", "12,20", "-loss", "0.1,0.3", "-phy", "logdist,unitdisk",
+			"-veclen", "0,4", "-verifiable", "true", "-fail", "0,0.1", "-iters", "4", "-seed", "1", "-out", "jsonl"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("verifiable matrix differs from the golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("flag parse error not propagated")

@@ -113,9 +113,21 @@ type sharePrep struct {
 	// folds in the ones the sharing chain delivered.
 	sums    []field.Element
 	contrib []int
-	// commits[src][k] is source src's Feldman commitment for coordinate k
-	// (verifiable rounds only).
-	commits     [][]*vss.Commitment
+	// Verifiable rounds only. commits[src·vecLen+k] is source src's
+	// Feldman commitment for coordinate k and prod[k] the product of every
+	// source's, the commitment to the sum of their polynomials.
+	// fullCommit[dst·n+src] reports whether the commitment chain delivered
+	// all of src's commitment to dst. vsums[dst·vecLen:(dst+1)·vecLen] is
+	// the sum of the shares dst verifies and inSum[dst·n+src] marks the
+	// sources in it; a source that is its own destination is in it from
+	// prepare on. missing holds the product of the sources that are not.
+	commits    []vss.Commitment
+	prod       []vss.Commitment
+	fullCommit []bool
+	vsums      []field.Element
+	inSum      []bool
+	missing    vss.Commitment
+
 	shareGenMax time.Duration
 	ntx         int
 	vecLen      int
@@ -128,6 +140,7 @@ type sharePrep struct {
 	blk            seckey.Block
 	poly           field.Poly
 	reading, evals []field.Element
+	dealt          []field.Element
 	opened         []field.Element
 	absorbCPU      []time.Duration
 	holders        []int
@@ -191,7 +204,12 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 	p.poly = resize(p.poly, cfg.Degree+1)
 	p.packets = make([]byte, 0, len(boot.shareItems)*seckey.SealedVectorSize(vecLen))
 	if cfg.Verifiable {
-		p.commits = resize(p.commits, n)
+		p.commits = resize(p.commits, n*vecLen)
+		p.dealt = resize(p.dealt, len(dests))
+		p.vsums = resize(p.vsums, n*vecLen)
+		clear(p.vsums)
+		p.inSum = resize(p.inSum, n*n)
+		clear(p.inSum)
 	}
 	p.shareGenMax = 0
 	slot := 0
@@ -208,18 +226,14 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 		}
 		// evals[j·vecLen+k] is dests[j]'s share of reading[k].
 		if cfg.Verifiable {
-			cs := make([]*vss.Commitment, vecLen)
 			for k, secret := range reading {
-				vshares, commit, err := vss.Deal(secret, cfg.Degree, boot.destPoints, secretRNG)
-				if err != nil {
+				if err := vss.DealInto(p.dealt, &p.commits[src*vecLen+k], secret, cfg.Degree, boot.destPoints, secretRNG, p.poly); err != nil {
 					return err
 				}
-				cs[k] = commit
-				for j, vs := range vshares {
-					p.evals[j*vecLen+k] = vs.Value
+				for j, v := range p.dealt {
+					p.evals[j*vecLen+k] = v
 				}
 			}
-			p.commits[src] = cs
 		} else if err := shamir.SplitVecInto(p.evals, reading, cfg.Degree, boot.destPoints, secretRNG, p.poly); err != nil {
 			return err
 		}
@@ -244,6 +258,12 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 					return err
 				}
 				p.contrib[dst]++
+				if cfg.Verifiable {
+					if err := field.AccumulateVec(p.vsums[dst*vecLen:(dst+1)*vecLen], share); err != nil {
+						return err
+					}
+					p.inSum[dst*n+src] = true
+				}
 				continue
 			}
 			link, err := boot.link(src, dst)
@@ -288,18 +308,123 @@ type roundExec struct {
 	haveCommit func(dst, idx int) bool
 }
 
-// hasFullCommitment reports whether dst received every commitment
-// coefficient dealt by src in the commitment chain.
-func (e *roundExec) hasFullCommitment(dst, src int) bool {
-	if e.haveCommit == nil {
-		return false
+// openShare opens share item idx, the sealed vector its owner sent to its
+// destination, into p.opened.
+func (e *roundExec) openShare(idx int, item minicast.Item) ([]field.Element, error) {
+	p := e.prep
+	link, err := e.boot.link(item.Owner, item.Dst)
+	if err != nil {
+		return nil, err
 	}
-	for idx, owner := range e.boot.commitOwner {
-		if owner == src && !e.haveCommit(dst, idx) {
-			return false
+	ctx := seckey.PacketContext{
+		Round:    uint32(e.trial),
+		Sender:   uint16(item.Owner),
+		Receiver: uint16(item.Dst),
+		Slot:     uint32(idx),
+	}
+	size := seckey.SealedVectorSize(p.vecLen)
+	values, err := link.OpenVectorTo(p.opened[:0], &p.blk, ctx, p.vecLen, p.packets[idx*size:(idx+1)*size])
+	if err != nil {
+		return nil, fmt.Errorf("open share vector %d: %w", idx, err)
+	}
+	p.opened = values
+	return values, nil
+}
+
+// prepareChecks builds the round-wide state of batch verification: the
+// product of every source's commitment per coordinate, and which
+// destinations received which sources' whole commitment.
+func (e *roundExec) prepareChecks() error {
+	p, sources := e.prep, e.cfg.Sources
+	n, vecLen := e.boot.Channel.NumNodes(), p.vecLen
+	p.prod = resize(p.prod, vecLen)
+	for k := range p.prod {
+		p.prod[k].Set(&p.commits[sources[0]*vecLen+k])
+		for _, src := range sources[1:] {
+			if err := p.prod[k].Mul(&p.commits[src*vecLen+k]); err != nil {
+				return err
+			}
 		}
 	}
-	return true
+	p.fullCommit = resize(p.fullCommit, n*n)
+	for _, dst := range e.boot.dests {
+		full := p.fullCommit[dst*n : (dst+1)*n]
+		for _, src := range sources {
+			full[src] = true
+		}
+		for idx, owner := range e.boot.commitOwner {
+			if full[owner] && !e.haveCommit(dst, idx) {
+				full[owner] = false
+			}
+		}
+	}
+	return nil
+}
+
+// checkSums runs each destination's batch check: the sum of the shares it
+// verifies against the round-wide product, with the sources whose share or
+// commitment it lacks divided out. One exponentiation of G and at most two
+// Horner passes per destination and coordinate replace one Verify per
+// share.
+func (e *roundExec) checkSums() error {
+	p, sources := e.prep, e.cfg.Sources
+	n, vecLen := e.boot.Channel.NumNodes(), p.vecLen
+	for _, dst := range e.boot.dests {
+		in := p.inSum[dst*n : (dst+1)*n]
+		if !slices.Contains(in, true) {
+			continue // nothing to check
+		}
+		x := shamir.PublicPoint(dst)
+		for k := 0; k < vecLen; k++ {
+			var missing *vss.Commitment
+			for _, src := range sources {
+				if in[src] {
+					continue
+				}
+				c := &p.commits[src*vecLen+k]
+				if missing == nil {
+					missing = &p.missing
+					missing.Set(c)
+				} else if err := missing.Mul(c); err != nil {
+					return err
+				}
+			}
+			if err := vss.VerifySum(p.vsums[dst*vecLen+k], x, &p.prod[k], missing); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// firstShareError verifies the delivered shares one at a time, in share
+// index order, and returns the first failure, or nil. It runs only when
+// the batch pass failed, so that the round's error names the same share,
+// with the same text, as a per-share pass would.
+func (e *roundExec) firstShareError() error {
+	p := e.prep
+	n := e.boot.Channel.NumNodes()
+	for idx, item := range e.boot.shareItems {
+		dst := item.Dst
+		if !e.haveShare(dst, idx) {
+			continue
+		}
+		values, err := e.openShare(idx, item)
+		if err != nil {
+			return err
+		}
+		if !p.fullCommit[dst*n+item.Owner] {
+			continue
+		}
+		for k, v := range values {
+			share := vss.Share{X: shamir.PublicPoint(dst), Value: v}
+			if err := vss.Verify(share, &p.commits[item.Owner*p.vecLen+k]); err != nil {
+				// With honest dealers this indicates a protocol bug.
+				return fmt.Errorf("verify share %d[%d]: %w", idx, k, err)
+			}
+		}
+	}
+	return nil
 }
 
 // finish runs the round epilogue: per-destination aggregation, holder
@@ -321,40 +446,35 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 	p.absorbCPU = resize(p.absorbCPU, n)
 	absorbCPU := p.absorbCPU
 	clear(absorbCPU)
-	size := seckey.SealedVectorSize(vecLen)
 	var verified, unverified int
+	if cfg.Verifiable {
+		if err := e.prepareChecks(); err != nil {
+			return nil, err
+		}
+	}
 	for idx, item := range boot.shareItems {
 		dst := item.Dst
 		if !e.haveShare(dst, idx) {
 			continue
 		}
-		link, err := boot.link(item.Owner, dst)
+		values, err := e.openShare(idx, item)
 		if err != nil {
+			if cfg.Verifiable {
+				if vErr := e.firstShareError(); vErr != nil {
+					return nil, vErr
+				}
+			}
 			return nil, err
 		}
-		ctx := seckey.PacketContext{
-			Round:    uint32(e.trial),
-			Sender:   uint16(item.Owner),
-			Receiver: uint16(dst),
-			Slot:     uint32(idx),
-		}
-		values, err := link.OpenVectorTo(p.opened[:0], &p.blk, ctx, vecLen, p.packets[idx*size:(idx+1)*size])
-		if err != nil {
-			return nil, fmt.Errorf("open share vector %d: %w", idx, err)
-		}
-		p.opened = values
 		if cfg.Verifiable {
 			// Verify against the dealer's commitments when the commitment
 			// chain reached this destination; absorb optimistically
 			// otherwise (coverage is reported in the result).
-			if e.hasFullCommitment(dst, item.Owner) {
-				for k, v := range values {
-					share := vss.Share{X: shamir.PublicPoint(dst), Value: v}
-					if vErr := vss.Verify(share, p.commits[item.Owner][k]); vErr != nil {
-						// With honest dealers this indicates a protocol bug.
-						return nil, fmt.Errorf("verify share %d[%d]: %w", idx, k, vErr)
-					}
+			if p.fullCommit[dst*n+item.Owner] {
+				if err := field.AccumulateVec(p.vsums[dst*vecLen:(dst+1)*vecLen], values); err != nil {
+					return nil, err
 				}
+				p.inSum[dst*n+item.Owner] = true
 				verified += vecLen
 				absorbCPU[dst] += time.Duration(vecLen) * cfg.CPU.VSSVerify(cfg.Degree)
 			} else {
@@ -365,6 +485,14 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 			return nil, err
 		}
 		p.contrib[dst]++
+	}
+	// A failed batch check reruns the checks share by share. Only that
+	// pass decides: it alone leaves out the shares sources keep for
+	// themselves, which the batch check folds in.
+	if cfg.Verifiable && e.checkSums() != nil {
+		if err := e.firstShareError(); err != nil {
+			return nil, err
+		}
 	}
 	for _, dst := range boot.dests {
 		absorbCPU[dst] += cfg.CPU.SumAbsorbVec(p.contrib[dst], vecLen)
@@ -550,7 +678,6 @@ func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *
 		}
 		cfg.Secrets = secrets
 	}
-	ch := boot.Channel
 
 	// All three chain phases borrow from one arena; their results must stay
 	// readable side by side until the round is folded, so the arena resets
@@ -569,6 +696,13 @@ func RunRoundTraced(boot *Bootstrap, trial uint64, secrets map[int]uint64, rec *
 	if err != nil {
 		return nil, err
 	}
+	return runPrepared(boot, cfg, trial, prep, rec, arena)
+}
+
+// runPrepared runs a scalar round from its prepared shares on: the chains,
+// then the epilogue.
+func runPrepared(boot *Bootstrap, cfg Config, trial uint64, prep *sharePrep, rec *trace.Recorder, arena *sim.Arena) (*RoundResult, error) {
+	ch := boot.Channel
 	radioRNG, ledger := prep.radioRNG, &prep.ledger
 	engine := sim.NewEngine()
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iotmpc/internal/phy"
+	"iotmpc/internal/topology"
 )
 
 // BenchmarkRunRoundLanes times one full-width batch of phy.MaxLanes trials
@@ -19,20 +20,51 @@ func BenchmarkRunRoundLanes(b *testing.B) {
 		b.Run(fmt.Sprintf("L=%d", vecLen), func(b *testing.B) {
 			cfg := flockConfig(S4)
 			cfg.VectorLen = vecLen
-			boot, err := RunBootstrap(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := RunRoundLanes(boot, 0, phy.MaxLanes); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunRoundLanes(boot, uint64(i+1)*phy.MaxLanes, phy.MaxLanes); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchmarkRunRoundLanes(b, cfg)
 		})
+	}
+}
+
+// BenchmarkRunRoundLanesVerifiable is BenchmarkRunRoundLanes for Feldman-
+// verifiable rounds on a 20-node grid, S4 with every node a source, scalar
+// (L=0) and vector (L=4) readings. Its name stays outside the alloc gate's
+// pattern, which bounds plain rounds only.
+func BenchmarkRunRoundLanesVerifiable(b *testing.B) {
+	grid, err := topology.Grid(4, 5, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, vecLen := range []int{0, 4} {
+		b.Run(fmt.Sprintf("L=%d", vecLen), func(b *testing.B) {
+			benchmarkRunRoundLanes(b, Config{
+				Topology:    grid,
+				Protocol:    S4,
+				Sources:     sourcesUpTo(20),
+				NTXSharing:  6,
+				DestSlack:   1,
+				ChannelSeed: 1,
+				Verifiable:  true,
+				VectorLen:   vecLen,
+			})
+		})
+	}
+}
+
+// benchmarkRunRoundLanes bootstraps cfg, warms the pools with one batch, and
+// times batches of phy.MaxLanes fresh trials.
+func benchmarkRunRoundLanes(b *testing.B, cfg Config) {
+	boot, err := RunBootstrap(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := RunRoundLanes(boot, 0, phy.MaxLanes); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunRoundLanes(boot, uint64(i+1)*phy.MaxLanes, phy.MaxLanes); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

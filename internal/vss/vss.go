@@ -14,6 +14,24 @@
 // parameters chosen so the layer composes exactly with internal/shamir; the
 // construction is what matters for the reproduction. Commitments ride the
 // same MiniCast chain as data items (k+1 group elements per source).
+//
+// Verify checks one share. VerifySum checks, at about the cost of one
+// Verify, the sum of many dealers' shares at one public point against the
+// product of their commitments (Mul): Feldman commitments are additively
+// homomorphic. A share holder that received shares from many dealers
+// checks them all at once this way. The sum check accepts whenever every
+// share in the sum passes Verify, and with one wrong share value or
+// commitment it rejects exactly when Verify does (FuzzBatchMatchesPerShare).
+// It is not sound against two or more cheating dealers: errors of +d and −d
+// in two shares cancel in the sum (TestBatchSumCaveat). Honest dealers
+// never produce such shares. A check that must hold against colluding
+// dealers, or name the one that cheated, verifies share by share. Random
+// small-exponent weights per dealer (Bellare, Garay and Rabin, "Fast Batch
+// Verification for Modular Exponentiation and Digital Signatures",
+// EUROCRYPT 1998) would make the sum check sound, but not cheaply here: a
+// 32-bit weight costs about 48 multiplies per coefficient, while a whole
+// per-share check costs about 7 per Horner level, because public points
+// are small.
 package vss
 
 import (
@@ -111,27 +129,66 @@ func (c *Commitment) SecretCommitment() *big.Int {
 // Deal splits a secret verifiably: it returns the shares together with the
 // commitment vector that holders verify against.
 func Deal(secret field.Element, degree int, points []field.Element, rng io.Reader) ([]Share, *Commitment, error) {
-	if degree < 0 || len(points) < degree+1 {
-		return nil, nil, fmt.Errorf("%w: degree %d with %d points", ErrBadParams, degree, len(points))
-	}
-	for _, x := range points {
-		if x.IsZero() {
-			return nil, nil, fmt.Errorf("%w: zero public point", ErrBadParams)
-		}
-	}
-	poly, err := field.NewRandomPoly(secret, degree, rng)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample polynomial: %w", err)
-	}
-	commit := &Commitment{points: make([]elem, len(poly))}
-	for i, coeff := range poly {
-		commit.points[i] = gExp(coeff.Uint64())
+	values := make([]field.Element, len(points))
+	commit := new(Commitment)
+	if err := DealInto(values, commit, secret, degree, points, rng, make(field.Poly, max(degree+1, 0))); err != nil {
+		return nil, nil, err
 	}
 	shares := make([]Share, len(points))
 	for i, x := range points {
-		shares[i] = Share{X: x, Value: poly.Eval(x)}
+		shares[i] = Share{X: x, Value: values[i]}
 	}
 	return shares, commit, nil
+}
+
+// DealInto is Deal into caller-owned memory: values[i] receives the share
+// at points[i], commit is overwritten in its own storage, and poly, at
+// least degree+1 long, holds the polynomial. It draws from rng exactly as
+// Deal does, so a caller that deals again and again into the same buffers
+// allocates nothing once they are large enough.
+func DealInto(values []field.Element, commit *Commitment, secret field.Element, degree int, points []field.Element, rng io.Reader, poly field.Poly) error {
+	if degree < 0 || len(points) < degree+1 {
+		return fmt.Errorf("%w: degree %d with %d points", ErrBadParams, degree, len(points))
+	}
+	for _, x := range points {
+		if x.IsZero() {
+			return fmt.Errorf("%w: zero public point", ErrBadParams)
+		}
+	}
+	if commit == nil || len(values) != len(points) || len(poly) < degree+1 {
+		return fmt.Errorf("%w: %d values and %d-coefficient scratch for %d points at degree %d",
+			ErrBadParams, len(values), len(poly), len(points), degree)
+	}
+	poly = poly[:degree+1]
+	if err := poly.Randomize(secret, rng); err != nil {
+		return fmt.Errorf("sample polynomial: %w", err)
+	}
+	commit.points = slices.Grow(commit.points[:0], len(poly))[:len(poly)]
+	for i, coeff := range poly {
+		commit.points[i] = gExp(coeff.Uint64())
+	}
+	for i, x := range points {
+		values[i] = poly.Eval(x)
+	}
+	return nil
+}
+
+// eval returns the committed polynomial evaluated in the exponent at the
+// public point x, Π points[i]^(x^i), in Horner form
+// (((C_k)^x·C_{k−1})^x ···)^x·C_0, with the integer x^i as exponent, not
+// x^i mod q: the two agree on every point of the order-q subgroup, and a
+// Commitment holds no other points. An empty commitment evaluates to 1.
+func (c *Commitment) eval(x uint64) elem {
+	k := len(c.points) - 1
+	if k < 0 {
+		return montOne
+	}
+	acc := c.points[k]
+	for i := k - 1; i >= 0; i-- {
+		montExp(&acc, &acc, x)
+		montMul(&acc, &acc, &c.points[i])
+	}
+	return acc
 }
 
 // Verify checks that the share lies on the dealer's committed polynomial:
@@ -139,25 +196,62 @@ func Deal(secret field.Element, degree int, points []field.Element, rng io.Reade
 //	G^{value} == Π points[i]^(x^i)   (mod P)
 //
 // Because the subgroup order equals the share field modulus q, exponent
-// arithmetic mod q matches polynomial arithmetic over GF(q) exactly. The
-// right side is evaluated in Horner form, (((C_k)^x·C_{k−1})^x ···)^x·C_0,
-// with the integer x^i as exponent, not x^i mod q: the two agree on every
-// point of the order-q subgroup, and a Commitment holds no other points.
+// arithmetic mod q matches polynomial arithmetic over GF(q) exactly.
 func Verify(s Share, commit *Commitment) error {
 	if commit == nil || len(commit.points) == 0 {
 		return ErrBadCommitment
 	}
-	lhs := gExp(s.Value.Uint64())
-
-	x := s.X.Uint64()
-	k := len(commit.points) - 1
-	rhs := commit.points[k]
-	for i := k - 1; i >= 0; i-- {
-		montExp(&rhs, &rhs, x)
-		montMul(&rhs, &rhs, &commit.points[i])
-	}
-	if lhs != rhs {
+	if gExp(s.Value.Uint64()) != commit.eval(s.X.Uint64()) {
 		return ErrVerifyFailed
+	}
+	return nil
+}
+
+// VerifySum is the batch form of Verify for the shares one holder received
+// at its public point x. all is the product (Mul) of every dealer's
+// commitment, missing the product of the dealers whose shares sum leaves
+// out (nil or empty when it leaves out none), and sum the field sum of the
+// other dealers' shares. It checks
+//
+//	G^{sum} · Π missing[i]^(x^i) == Π all[i]^(x^i)   (mod P)
+//
+// one fixed-base exponentiation and at most two Horner passes, however many
+// shares sum holds. If every share in sum passes Verify, so does the sum
+// check. The converse fails only when the errors of two or more dealers
+// cancel in the sum (see the package doc).
+func VerifySum(sum, x field.Element, all, missing *Commitment) error {
+	if all == nil || len(all.points) == 0 {
+		return ErrBadCommitment
+	}
+	lhs := gExp(sum.Uint64())
+	if missing != nil && len(missing.points) > 0 {
+		if len(missing.points) != len(all.points) {
+			return fmt.Errorf("%w: mismatched vector widths", ErrBadCommitment)
+		}
+		m := missing.eval(x.Uint64())
+		montMul(&lhs, &lhs, &m)
+	}
+	if lhs != all.eval(x.Uint64()) {
+		return ErrVerifyFailed
+	}
+	return nil
+}
+
+// Set sets z to a copy of x in z's own storage.
+func (z *Commitment) Set(x *Commitment) {
+	z.points = append(z.points[:0], x.points...)
+}
+
+// Mul sets z to the coefficient-wise product of z and x, the commitment to
+// the sum of the two committed polynomials (Feldman commitments are
+// additively homomorphic): one Montgomery multiply per coefficient.
+// Products of subgroup points stay in the subgroup.
+func (z *Commitment) Mul(x *Commitment) error {
+	if x == nil || len(x.points) != len(z.points) {
+		return fmt.Errorf("%w: mismatched vector widths", ErrBadCommitment)
+	}
+	for i := range z.points {
+		montMul(&z.points[i], &z.points[i], &x.points[i])
 	}
 	return nil
 }
@@ -165,19 +259,16 @@ func Verify(s Share, commit *Commitment) error {
 // AggregateCommitments multiplies per-source commitment vectors
 // coefficient-wise, yielding the commitment to the SUM polynomial — so the
 // reconstruction phase can verify public-point sums the same way shares are
-// verified (Feldman commitments are additively homomorphic). Products of
-// subgroup points stay in the subgroup.
+// verified.
 func AggregateCommitments(commits []*Commitment) (*Commitment, error) {
 	if len(commits) == 0 || commits[0] == nil {
 		return nil, ErrBadCommitment
 	}
-	out := &Commitment{points: slices.Clone(commits[0].points)}
+	out := new(Commitment)
+	out.Set(commits[0])
 	for _, c := range commits[1:] {
-		if c == nil || len(c.points) != len(out.points) {
-			return nil, fmt.Errorf("%w: mismatched vector widths", ErrBadCommitment)
-		}
-		for i := range out.points {
-			montMul(&out.points[i], &out.points[i], &c.points[i])
+		if err := out.Mul(c); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
