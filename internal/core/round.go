@@ -119,8 +119,7 @@ type sharePrep struct {
 	// fullCommit[dst·n+src] reports whether the commitment chain delivered
 	// all of src's commitment to dst. vsums[dst·vecLen:(dst+1)·vecLen] is
 	// the sum of the shares dst verifies and inSum[dst·n+src] marks the
-	// sources in it; a source that is its own destination is in it from
-	// prepare on. missing holds the product of the sources that are not.
+	// sources in it; missing holds the product of the sources that are not.
 	commits    []vss.Commitment
 	prod       []vss.Commitment
 	fullCommit []bool
@@ -258,12 +257,6 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 					return err
 				}
 				p.contrib[dst]++
-				if cfg.Verifiable {
-					if err := field.AccumulateVec(p.vsums[dst*vecLen:(dst+1)*vecLen], share); err != nil {
-						return err
-					}
-					p.inSum[dst*n+src] = true
-				}
 				continue
 			}
 			link, err := boot.link(src, dst)
@@ -363,9 +356,9 @@ func (e *roundExec) prepareChecks() error {
 
 // checkSums runs each destination's batch check: the sum of the shares it
 // verifies against the round-wide product, with the sources whose share or
-// commitment it lacks divided out. One exponentiation of G and at most two
-// Horner passes per destination and coordinate replace one Verify per
-// share.
+// commitment it lacks divided out, itself included. One exponentiation of
+// G and at most two Horner passes per destination and coordinate replace
+// one Verify per share.
 func (e *roundExec) checkSums() error {
 	p, sources := e.prep, e.cfg.Sources
 	n, vecLen := e.boot.Channel.NumNodes(), p.vecLen
@@ -459,11 +452,6 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		}
 		values, err := e.openShare(idx, item)
 		if err != nil {
-			if cfg.Verifiable {
-				if vErr := e.firstShareError(); vErr != nil {
-					return nil, vErr
-				}
-			}
 			return nil, err
 		}
 		if cfg.Verifiable {
@@ -486,11 +474,13 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 		}
 		p.contrib[dst]++
 	}
-	// A failed batch check reruns the checks share by share. Only that
-	// pass decides: it alone leaves out the shares sources keep for
-	// themselves, which the batch check folds in.
-	if cfg.Verifiable && e.checkSums() != nil {
-		if err := e.firstShareError(); err != nil {
+	// A failed batch check reruns the checks share by share, so that the
+	// error names the first failing share.
+	if cfg.Verifiable {
+		if err := e.checkSums(); err != nil {
+			if vErr := e.firstShareError(); vErr != nil {
+				return nil, vErr
+			}
 			return nil, err
 		}
 	}

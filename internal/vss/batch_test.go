@@ -225,31 +225,42 @@ func TestDealIntoMatchesDeal(t *testing.T) {
 }
 
 // The batch gate's pair: one destination's 19 shares at one public point,
-// degree 6, checked with one VerifySum (BenchmarkVerifyBatch) or with 19
-// Verify calls (BenchmarkVerifyPerShare). The batch op sums the shares and
-// checks the sum; the product of the 19 commitments is built before the
-// timer, as a round builds it once for all its destinations (18·7
-// multiplies here, about as many as three Verify calls).
+// degree 6, from 21 dealers of which 2 delivered nothing, checked with one
+// VerifySum (BenchmarkVerifyBatch) or with 19 Verify calls
+// (BenchmarkVerifyPerShare). The batch op sums the shares, multiplies the
+// two missing commitments together and checks the sum, both Horner passes
+// included; the product of all 21 commitments is built before the timer,
+// as a round builds it once for all its destinations (20·7 multiplies
+// here, about as many as three Verify calls).
+const benchDealers, benchMissing = 21, 2
+
 func BenchmarkVerifyBatch(b *testing.B) {
-	bc := dealBatch(b, rand.New(rand.NewSource(1)), field.New(7), 6, 19)
+	bc := dealBatch(b, rand.New(rand.NewSource(1)), field.New(7), 6, benchDealers)
 	all := product(b, bc.commits, func(int) bool { return true })
+	var missing Commitment
 	b.ReportAllocs()
 	for b.Loop() {
 		var sum field.Element
-		for _, v := range bc.values {
+		for _, v := range bc.values[benchMissing:] {
 			sum = sum.Add(v)
 		}
-		if err := VerifySum(sum, bc.x, all, nil); err != nil {
+		missing.Set(bc.commits[0])
+		for _, c := range bc.commits[1:benchMissing] {
+			if err := missing.Mul(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := VerifySum(sum, bc.x, all, &missing); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkVerifyPerShare(b *testing.B) {
-	bc := dealBatch(b, rand.New(rand.NewSource(1)), field.New(7), 6, 19)
+	bc := dealBatch(b, rand.New(rand.NewSource(1)), field.New(7), 6, benchDealers)
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := verifyEach(bc, func(int) bool { return false }); err != nil {
+		if err := verifyEach(bc, func(i int) bool { return i < benchMissing }); err != nil {
 			b.Fatal(err)
 		}
 	}
