@@ -9,8 +9,10 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"iotmpc/internal/field"
 	"iotmpc/internal/shamir"
@@ -18,17 +20,17 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	rng := rand.New(rand.NewSource(7))
 	const nodes, degree, sources = 10, 3, 4
 	points := shamir.PublicPoints(nodes)
 
-	fmt.Printf("%d nodes, degree %d, %d sources dealing verifiably\n\n", nodes, degree, sources)
+	fmt.Fprintf(w, "%d nodes, degree %d, %d sources dealing verifiably\n\n", nodes, degree, sources)
 
 	sums := make([]field.Element, nodes)
 	commits := make([]*vss.Commitment, 0, sources)
@@ -49,7 +51,7 @@ func run() error {
 			}
 			sums[j] = sums[j].Add(share.Value)
 		}
-		fmt.Printf("source %d: %d shares dealt and verified (+%dB commitments on the chain)\n",
+		fmt.Fprintf(w, "source %d: %d shares dealt and verified (+%dB commitments on the chain)\n",
 			s, nodes, commit.Bytes())
 	}
 
@@ -61,7 +63,7 @@ func run() error {
 	forged := evilShares[2]
 	forged.Value = forged.Value.Add(field.One) // off-polynomial by 1
 	if err := vss.Verify(forged, evilCommit); errors.Is(err, vss.ErrVerifyFailed) {
-		fmt.Println("\nforged share detected and rejected ✓")
+		fmt.Fprintln(w, "\nforged share detected and rejected ✓")
 	} else {
 		return fmt.Errorf("forged share slipped through: %v", err)
 	}
@@ -85,6 +87,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("verified aggregate: %v (expected %v) ✓\n", got, total)
+	fmt.Fprintf(w, "verified aggregate: %v (expected %v) ✓\n", got, total)
 	return nil
 }

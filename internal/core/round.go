@@ -113,19 +113,13 @@ type sharePrep struct {
 	// folds in the ones the sharing chain delivered.
 	sums    []field.Element
 	contrib []int
-	// Verifiable rounds only. commits[src·vecLen+k] is source src's
-	// Feldman commitment for coordinate k and prod[k] the product of every
-	// source's, the commitment to the sum of their polynomials.
-	// fullCommit[dst·n+src] reports whether the commitment chain delivered
-	// all of src's commitment to dst. vsums[dst·vecLen:(dst+1)·vecLen] is
-	// the sum of the shares dst verifies and inSum[dst·n+src] marks the
-	// sources in it; missing holds the product of the sources that are not.
-	commits    []vss.Commitment
-	prod       []vss.Commitment
+	// Verifiable rounds only. commit(src, k) is source src's Feldman
+	// commitment for coordinate k in the exponent form (vss.DealExponents),
+	// its dealt polynomial, stored in commits. fullCommit[dst·n+src]
+	// reports whether the commitment chain delivered all of src's
+	// commitment to dst.
+	commits    []field.Element
 	fullCommit []bool
-	vsums      []field.Element
-	inSum      []bool
-	missing    vss.Commitment
 
 	shareGenMax time.Duration
 	ntx         int
@@ -203,12 +197,8 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 	p.poly = resize(p.poly, cfg.Degree+1)
 	p.packets = make([]byte, 0, len(boot.shareItems)*seckey.SealedVectorSize(vecLen))
 	if cfg.Verifiable {
-		p.commits = resize(p.commits, n*vecLen)
+		p.commits = resize(p.commits, n*vecLen*(cfg.Degree+1))
 		p.dealt = resize(p.dealt, len(dests))
-		p.vsums = resize(p.vsums, n*vecLen)
-		clear(p.vsums)
-		p.inSum = resize(p.inSum, n*n)
-		clear(p.inSum)
 	}
 	p.shareGenMax = 0
 	slot := 0
@@ -226,7 +216,7 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 		// evals[j·vecLen+k] is dests[j]'s share of reading[k].
 		if cfg.Verifiable {
 			for k, secret := range reading {
-				if err := vss.DealInto(p.dealt, &p.commits[src*vecLen+k], secret, cfg.Degree, boot.destPoints, secretRNG, p.poly); err != nil {
+				if err := vss.DealExponents(p.dealt, p.commit(src, k), secret, cfg.Degree, boot.destPoints, secretRNG); err != nil {
 					return err
 				}
 				for j, v := range p.dealt {
@@ -278,6 +268,14 @@ func (p *sharePrep) prepare(boot *Bootstrap, cfg Config, trial uint64, secretRNG
 	return nil
 }
 
+// commit returns source src's commitment for coordinate k in the exponent
+// form: degree+1 coefficients of p.commits, as many as p.poly holds.
+func (p *sharePrep) commit(src, k int) field.Poly {
+	width := len(p.poly)
+	at := (src*p.vecLen + k) * width
+	return p.commits[at : at+width : at+width]
+}
+
 // roundExec carries one trial's state between the sharing chains and the
 // round epilogue. haveShare/haveCommit abstract the chain delivery matrix,
 // so the epilogue reads a scalar minicast.Result and a bit-sliced lane mask
@@ -324,25 +322,14 @@ func (e *roundExec) openShare(idx int, item minicast.Item) ([]field.Element, err
 	return values, nil
 }
 
-// prepareChecks builds the round-wide state of batch verification: the
-// product of every source's commitment per coordinate, and which
-// destinations received which sources' whole commitment.
-func (e *roundExec) prepareChecks() error {
-	p, sources := e.prep, e.cfg.Sources
-	n, vecLen := e.boot.Channel.NumNodes(), p.vecLen
-	p.prod = resize(p.prod, vecLen)
-	for k := range p.prod {
-		p.prod[k].Set(&p.commits[sources[0]*vecLen+k])
-		for _, src := range sources[1:] {
-			if err := p.prod[k].Mul(&p.commits[src*vecLen+k]); err != nil {
-				return err
-			}
-		}
-	}
+// markFullCommits records in p.fullCommit which destinations received
+// which sources' whole commitment.
+func (e *roundExec) markFullCommits() {
+	p, n := e.prep, e.boot.Channel.NumNodes()
 	p.fullCommit = resize(p.fullCommit, n*n)
 	for _, dst := range e.boot.dests {
 		full := p.fullCommit[dst*n : (dst+1)*n]
-		for _, src := range sources {
+		for _, src := range e.cfg.Sources {
 			full[src] = true
 		}
 		for idx, owner := range e.boot.commitOwner {
@@ -351,73 +338,6 @@ func (e *roundExec) prepareChecks() error {
 			}
 		}
 	}
-	return nil
-}
-
-// checkSums runs each destination's batch check: the sum of the shares it
-// verifies against the round-wide product, with the sources whose share or
-// commitment it lacks divided out, itself included. One exponentiation of
-// G and at most two Horner passes per destination and coordinate replace
-// one Verify per share.
-func (e *roundExec) checkSums() error {
-	p, sources := e.prep, e.cfg.Sources
-	n, vecLen := e.boot.Channel.NumNodes(), p.vecLen
-	for _, dst := range e.boot.dests {
-		in := p.inSum[dst*n : (dst+1)*n]
-		if !slices.Contains(in, true) {
-			continue // nothing to check
-		}
-		x := shamir.PublicPoint(dst)
-		for k := 0; k < vecLen; k++ {
-			var missing *vss.Commitment
-			for _, src := range sources {
-				if in[src] {
-					continue
-				}
-				c := &p.commits[src*vecLen+k]
-				if missing == nil {
-					missing = &p.missing
-					missing.Set(c)
-				} else if err := missing.Mul(c); err != nil {
-					return err
-				}
-			}
-			if err := vss.VerifySum(p.vsums[dst*vecLen+k], x, &p.prod[k], missing); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// firstShareError verifies the delivered shares one at a time, in share
-// index order, and returns the first failure, or nil. It runs only when
-// the batch pass failed, so that the round's error names the same share,
-// with the same text, as a per-share pass would.
-func (e *roundExec) firstShareError() error {
-	p := e.prep
-	n := e.boot.Channel.NumNodes()
-	for idx, item := range e.boot.shareItems {
-		dst := item.Dst
-		if !e.haveShare(dst, idx) {
-			continue
-		}
-		values, err := e.openShare(idx, item)
-		if err != nil {
-			return err
-		}
-		if !p.fullCommit[dst*n+item.Owner] {
-			continue
-		}
-		for k, v := range values {
-			share := vss.Share{X: shamir.PublicPoint(dst), Value: v}
-			if err := vss.Verify(share, &p.commits[item.Owner*p.vecLen+k]); err != nil {
-				// With honest dealers this indicates a protocol bug.
-				return fmt.Errorf("verify share %d[%d]: %w", idx, k, err)
-			}
-		}
-	}
-	return nil
 }
 
 // finish runs the round epilogue: per-destination aggregation, holder
@@ -441,9 +361,7 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 	clear(absorbCPU)
 	var verified, unverified int
 	if cfg.Verifiable {
-		if err := e.prepareChecks(); err != nil {
-			return nil, err
-		}
+		e.markFullCommits()
 	}
 	for idx, item := range boot.shareItems {
 		dst := item.Dst
@@ -459,10 +377,13 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 			// chain reached this destination; absorb optimistically
 			// otherwise (coverage is reported in the result).
 			if p.fullCommit[dst*n+item.Owner] {
-				if err := field.AccumulateVec(p.vsums[dst*vecLen:(dst+1)*vecLen], values); err != nil {
-					return nil, err
+				x := shamir.PublicPoint(dst)
+				for k, v := range values {
+					if err := vss.VerifyExponents(vss.Share{X: x, Value: v}, p.commit(item.Owner, k)); err != nil {
+						// With honest dealers this indicates a protocol bug.
+						return nil, fmt.Errorf("verify share %d[%d]: %w", idx, k, err)
+					}
 				}
-				p.inSum[dst*n+item.Owner] = true
 				verified += vecLen
 				absorbCPU[dst] += time.Duration(vecLen) * cfg.CPU.VSSVerify(cfg.Degree)
 			} else {
@@ -473,16 +394,6 @@ func (e *roundExec) finish(arena *sim.Arena) (*RoundResult, error) {
 			return nil, err
 		}
 		p.contrib[dst]++
-	}
-	// A failed batch check reruns the checks share by share, so that the
-	// error names the first failing share.
-	if cfg.Verifiable {
-		if err := e.checkSums(); err != nil {
-			if vErr := e.firstShareError(); vErr != nil {
-				return nil, vErr
-			}
-			return nil, err
-		}
 	}
 	for _, dst := range boot.dests {
 		absorbCPU[dst] += cfg.CPU.SumAbsorbVec(p.contrib[dst], vecLen)

@@ -6,21 +6,23 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"iotmpc/internal/field"
+	"iotmpc/internal/minicast"
 	"iotmpc/internal/phy"
 	"iotmpc/internal/sim"
 	"iotmpc/internal/topology"
 	"iotmpc/internal/vss"
 )
 
-// TestVerifiableCountsGolden pins what batch verification must not move:
-// VerifiedShares, UnverifiedShares and NodeOK of verifiable rounds, which
-// the JSONL rows do not carry. The golden was recorded when every share
-// was verified on its own. The grid and the low S4 NTX lose enough shares
-// and commitments that the counts differ from trial to trial; node 19 is
-// crashed and no source.
+// TestVerifiableCountsGolden pins what a change of verification path must
+// not move: VerifiedShares, UnverifiedShares and NodeOK of verifiable
+// rounds, which the JSONL rows do not carry. The golden was recorded when
+// every share was verified on its own in the group. The grid and the low
+// S4 NTX lose enough shares and commitments that the counts differ from
+// trial to trial; node 19 is crashed and no source.
 func TestVerifiableCountsGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "verifiable_counts.golden"))
 	if err != nil {
@@ -87,10 +89,9 @@ func preparedRound(t *testing.T, proto Protocol, vecLen int) (*Bootstrap, *share
 }
 
 // TestVerifiableRoundTamperedCommitment replaces source 5's commitment to
-// its last coordinate with another dealer's. The batch check fails, and
-// the per-share pass that follows must return the error a per-share
-// verification returned before batching, naming the same share (the
-// texts were recorded then).
+// its last coordinate with another dealer's, planted in the exponent form.
+// The round must return the error that per-share verification in the group
+// returned, naming the same share (the texts were recorded then).
 func TestVerifiableRoundTamperedCommitment(t *testing.T) {
 	for _, tc := range []struct {
 		proto  Protocol
@@ -103,15 +104,47 @@ func TestVerifiableRoundTamperedCommitment(t *testing.T) {
 		{S4, 4, "verify share 45[3]: vss: share verification failed"},
 	} {
 		boot, prep := preparedRound(t, tc.proto, tc.vecLen)
-		_, foreign, err := vss.Deal(field.One, boot.cfg.Degree, boot.destPoints, rand.New(rand.NewSource(7)))
-		if err != nil {
+		values := make([]field.Element, len(boot.destPoints))
+		vecLen := boot.cfg.effVectorLen()
+		foreign := prep.commit(5, vecLen-1)
+		if err := vss.DealExponents(values, foreign, field.One, boot.cfg.Degree, boot.destPoints, rand.New(rand.NewSource(7))); err != nil {
 			t.Fatal(err)
 		}
-		vecLen := boot.cfg.effVectorLen()
-		prep.commits[5*vecLen+vecLen-1].Set(foreign)
-		_, err = runPrepared(boot, boot.cfg, 3, prep, nil, new(sim.Arena))
+		_, err := runPrepared(boot, boot.cfg, 3, prep, nil, new(sim.Arena))
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%v L=%d: error %v, want %q", tc.proto, tc.vecLen, err, tc.want)
+		}
+	}
+}
+
+// TestVerifiableRoundCancellingDealers adds +d to the secret coefficient of
+// one S4 source's commitment and −d to another's, both outside the
+// destination set. Every destination that received both dealers' shares
+// then holds errors that cancel in its share sum, so a sum check over the
+// sum passes (vss's TestBatchSumCaveat). But every share either dealer sent
+// disagrees with its own commitment, so the round must fail on the first of
+// them in share order.
+func TestVerifiableRoundCancellingDealers(t *testing.T) {
+	for _, vecLen := range []int{0, 4} {
+		boot, prep := preparedRound(t, S4, vecLen)
+		var cheats []int
+		for _, src := range boot.cfg.Sources {
+			if len(cheats) < 2 && !slices.Contains(boot.dests, src) {
+				cheats = append(cheats, src)
+			}
+		}
+		d := field.New(0xc0ffee)
+		for k := range boot.cfg.effVectorLen() {
+			ca, cb := prep.commit(cheats[0], k), prep.commit(cheats[1], k)
+			ca[0], cb[0] = ca[0].Add(d), cb[0].Sub(d)
+		}
+		first := slices.IndexFunc(boot.shareItems, func(item minicast.Item) bool {
+			return slices.Contains(cheats, item.Owner)
+		})
+		want := fmt.Sprintf("verify share %d[0]: vss: share verification failed", first)
+		_, err := runPrepared(boot, boot.cfg, 3, prep, nil, new(sim.Arena))
+		if err == nil || err.Error() != want {
+			t.Errorf("L=%d, dealers %v: error %v, want %q", vecLen, cheats, err, want)
 		}
 	}
 }

@@ -230,8 +230,8 @@ func TestDealIntoMatchesDeal(t *testing.T) {
 // (BenchmarkVerifyPerShare). The batch op sums the shares, multiplies the
 // two missing commitments together and checks the sum, both Horner passes
 // included; the product of all 21 commitments is built before the timer,
-// as a round builds it once for all its destinations (20·7 multiplies
-// here, about as many as three Verify calls).
+// as a caller checking many holders builds it once for all of them (20·7
+// multiplies here, about as many as three Verify calls).
 const benchDealers, benchMissing = 21, 2
 
 func BenchmarkVerifyBatch(b *testing.B) {

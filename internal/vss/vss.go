@@ -15,23 +15,35 @@
 // construction is what matters for the reproduction. Commitments ride the
 // same MiniCast chain as data items (k+1 group elements per source).
 //
+// A commitment has two forms. The group form (Commitment: G^{c_i} per
+// coefficient c_i) is the wire format — NewCommitment brings points in and
+// Bytes sizes them — and the oracle. The exponent form is the dealt
+// coefficients themselves, a field.Poly, which a simulation that knows
+// every dealer's polynomial may hold instead (DealExponents, VerifyExponents,
+// Lift). The two are exact equivalents, not an approximation: G has order q,
+// so e ↦ G^e maps GF(q) one-to-one onto the subgroup, and NewCommitment
+// admits no point outside it. Verify's G^{value} == Π points[i]^(x^i) then
+// holds exactly when value == Σ c_i·x^i in the field, which is
+// VerifyExponents' Horner pass, and a tamper by ×G^r on a point is a tamper
+// by +r on its coefficient (FuzzExponentMatchesGroup). Simulated rounds
+// verify in the exponent form, share by share; the device's cost of the
+// group arithmetic is charged by the CPU model, not run.
+//
 // Verify checks one share. VerifySum checks, at about the cost of one
 // Verify, the sum of many dealers' shares at one public point against the
 // product of their commitments (Mul): Feldman commitments are additively
-// homomorphic. A share holder that received shares from many dealers
-// checks them all at once this way. The sum check accepts whenever every
-// share in the sum passes Verify, and with one wrong share value or
-// commitment it rejects exactly when Verify does (FuzzBatchMatchesPerShare).
-// It is not sound against two or more cheating dealers: errors of +d and −d
-// in two shares cancel in the sum (TestBatchSumCaveat). Honest dealers
-// never produce such shares. A check that must hold against colluding
-// dealers, or name the one that cheated, verifies share by share. Random
-// small-exponent weights per dealer (Bellare, Garay and Rabin, "Fast Batch
-// Verification for Modular Exponentiation and Digital Signatures",
-// EUROCRYPT 1998) would make the sum check sound, but not cheaply here: a
-// 32-bit weight costs about 48 multiplies per coefficient, while a whole
-// per-share check costs about 7 per Horner level, because public points
-// are small.
+// homomorphic. The sum check accepts whenever every share in the sum
+// passes Verify, and with one wrong share value or commitment it rejects
+// exactly when Verify does (FuzzBatchMatchesPerShare). It is not sound
+// against two or more cheating dealers: errors of +d and −d in two shares
+// cancel in the sum (TestBatchSumCaveat). A check that must hold against
+// colluding dealers, or name the one that cheated, verifies share by
+// share, as rounds do. Random small-exponent weights per dealer (Bellare,
+// Garay and Rabin, "Fast Batch Verification for Modular Exponentiation and
+// Digital Signatures", EUROCRYPT 1998) would make the sum check sound, but
+// not cheaply here: a 32-bit weight costs about 48 multiplies per
+// coefficient, while a whole per-share check costs about 7 per Horner
+// level, because public points are small.
 package vss
 
 import (
@@ -143,10 +155,26 @@ func Deal(secret field.Element, degree int, points []field.Element, rng io.Reade
 
 // DealInto is Deal into caller-owned memory: values[i] receives the share
 // at points[i], commit is overwritten in its own storage, and poly, at
-// least degree+1 long, holds the polynomial. It draws from rng exactly as
-// Deal does, so a caller that deals again and again into the same buffers
-// allocates nothing once they are large enough.
+// least degree+1 long, holds the polynomial. It is DealExponents followed
+// by Lift, so it draws from rng exactly as Deal and DealExponents do, and a
+// caller that deals again and again into the same buffers allocates
+// nothing once they are large enough.
 func DealInto(values []field.Element, commit *Commitment, secret field.Element, degree int, points []field.Element, rng io.Reader, poly field.Poly) error {
+	if commit == nil {
+		return fmt.Errorf("%w: nil commitment", ErrBadParams)
+	}
+	if err := DealExponents(values, poly, secret, degree, points, rng); err != nil {
+		return err
+	}
+	commit.Lift(poly[:degree+1])
+	return nil
+}
+
+// DealExponents deals a secret into caller-owned memory with its
+// commitment in the exponent form: coeffs[:degree+1] receives the
+// polynomial, which is the commitment, and values[i] the share at
+// points[i]. It draws from rng exactly as Deal does.
+func DealExponents(values []field.Element, coeffs field.Poly, secret field.Element, degree int, points []field.Element, rng io.Reader) error {
 	if degree < 0 || len(points) < degree+1 {
 		return fmt.Errorf("%w: degree %d with %d points", ErrBadParams, degree, len(points))
 	}
@@ -155,22 +183,41 @@ func DealInto(values []field.Element, commit *Commitment, secret field.Element, 
 			return fmt.Errorf("%w: zero public point", ErrBadParams)
 		}
 	}
-	if commit == nil || len(values) != len(points) || len(poly) < degree+1 {
-		return fmt.Errorf("%w: %d values and %d-coefficient scratch for %d points at degree %d",
-			ErrBadParams, len(values), len(poly), len(points), degree)
+	if len(values) != len(points) || len(coeffs) < degree+1 {
+		return fmt.Errorf("%w: %d values and %d coefficients for %d points at degree %d",
+			ErrBadParams, len(values), len(coeffs), len(points), degree)
 	}
-	poly = poly[:degree+1]
-	if err := poly.Randomize(secret, rng); err != nil {
+	coeffs = coeffs[:degree+1]
+	if err := coeffs.Randomize(secret, rng); err != nil {
 		return fmt.Errorf("sample polynomial: %w", err)
 	}
-	commit.points = slices.Grow(commit.points[:0], len(poly))[:len(poly)]
-	for i, coeff := range poly {
-		commit.points[i] = gExp(coeff.Uint64())
-	}
 	for i, x := range points {
-		values[i] = poly.Eval(x)
+		values[i] = coeffs.Eval(x)
 	}
 	return nil
+}
+
+// VerifyExponents is Verify against a commitment in the exponent form: the
+// share lies on the committed polynomial iff coeffs evaluates to its value
+// at its point. Its verdict equals Verify's against Lift(coeffs) on every
+// input (see the package doc).
+func VerifyExponents(s Share, coeffs field.Poly) error {
+	if len(coeffs) == 0 {
+		return ErrBadCommitment
+	}
+	if coeffs.Eval(s.X) != s.Value {
+		return ErrVerifyFailed
+	}
+	return nil
+}
+
+// Lift sets z, in its own storage, to the group form of the commitment
+// whose exponent form is coeffs: one point G^{c_i} per coefficient.
+func (z *Commitment) Lift(coeffs field.Poly) {
+	z.points = slices.Grow(z.points[:0], len(coeffs))[:len(coeffs)]
+	for i, c := range coeffs {
+		z.points[i] = gExp(c.Uint64())
+	}
 }
 
 // eval returns the committed polynomial evaluated in the exponent at the
